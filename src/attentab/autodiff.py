@@ -63,6 +63,27 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+# A model's ordered ``name -> array`` registry: every trainable Parameter
+# and every persisted buffer, in construction order.
+Registry = dict[str, Parameter | np.ndarray]
+
+
+def register(registry: Registry | None, value, name: str | None = None):
+    """Add ``value`` (a :class:`Parameter`, keyed by its own name, or a
+    buffer keyed by ``name``) to ``registry`` and return it.
+
+    Each array is registered once, by the constructor that creates it, so a
+    borrowed (shared) array is never listed twice and a repeated name is a
+    wiring error. ``registry=None`` leaves a standalone layer unregistered.
+    """
+    if registry is not None:
+        key = value.name if isinstance(value, Parameter) else name
+        if key in registry:
+            raise ConfigError(f"array {key!r} registered twice")
+        registry[key] = value
+    return value
+
+
 class _Record:
     __slots__ = ("op", "inputs", "output", "backward")
 
@@ -240,14 +261,6 @@ def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     if tape is not None:
         tape.record("add", (a, b), out, lambda g: (g, g))
-    return out
-
-
-def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-    if tape is not None:
-        tape.record("sub", (a, b), out, lambda g: (g, -g))
     return out
 
 
@@ -475,13 +488,15 @@ class BatchNorm:
         virtual_batch: int | None = None,
         name: str = "bn",
         affine: "tuple[Parameter, Parameter] | None" = None,
+        registry: Registry | None = None,
     ):
         if virtual_batch is not None and virtual_batch < 1:
             raise ConfigError(f"virtual_batch must be >= 1, got {virtual_batch}")
         if affine is None:
             self.gamma = Parameter(np.ones(num_features), name=f"{name}.gamma")
             self.beta = Parameter(np.zeros(num_features), name=f"{name}.beta")
-            self._owns_affine = True
+            register(registry, self.gamma)
+            register(registry, self.beta)
         else:
             # gamma/beta borrowed from another layer: running statistics stay
             # local to this call site, the trainable scale/shift are shared
@@ -491,36 +506,13 @@ class BatchNorm:
                     f"batch_norm {name}: shared affine has {self.gamma.data.shape[0]} "
                     f"features, expected {num_features}"
                 )
-            self._owns_affine = False
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+        # plain arrays, updated in place so registry entries stay live
+        self.running_mean = register(registry, np.zeros(num_features), f"{name}.running_mean")
+        self.running_var = register(registry, np.ones(num_features), f"{name}.running_var")
         self.eps = eps
         self.momentum = momentum
         self.virtual_batch = virtual_batch
         self.name = name
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gamma, self.beta] if self._owns_affine else []
-
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        if self._owns_affine:
-            out += [
-                (f"{self.name}.gamma", self.gamma.data),
-                (f"{self.name}.beta", self.beta.data),
-            ]
-        out += [
-            (f"{self.name}.running_mean", self.running_mean),
-            (f"{self.name}.running_var", self.running_var),
-        ]
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        if self._owns_affine:
-            self.gamma.data[...] = arrays[f"{self.name}.gamma"]
-            self.beta.data[...] = arrays[f"{self.name}.beta"]
-        self.running_mean[...] = arrays[f"{self.name}.running_mean"]
-        self.running_var[...] = arrays[f"{self.name}.running_var"]
 
     def __call__(self, tape: Tape | None, x: Tensor, training: bool) -> Tensor:
         xd = _as2d("x", "batch_norm", x)

@@ -58,10 +58,12 @@ def load_csv(path: str) -> RawTable:
     """Read an RFC 4180 CSV with a header row into a RawTable.
 
     Empty cells and the literals "NaN"/"nan" become missing. Ragged rows
-    raise an ingestion error naming the offending line.
+    raise an ingestion error naming the offending line. A leading UTF-8
+    byte-order mark (as spreadsheet exports write) is not part of the
+    first header name.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     with fh:

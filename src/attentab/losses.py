@@ -125,12 +125,10 @@ def focal_loss(
     return _finish(tape, per_example)
 
 
-def alpha_from_frequencies(class_counts, convention: str = "inverse-frequency") -> np.ndarray:
-    """Per-class weights inversely proportional to class frequency.
-
-    ``inverse-frequency`` returns N / (C * count_c), which averages to one
-    under the empirical class distribution (balanced counts give all ones).
-    ``mean-one`` further divides by the arithmetic mean of those weights.
+def alpha_from_frequencies(class_counts) -> np.ndarray:
+    """Per-class weights inversely proportional to class frequency:
+    N / (C * count_c), which averages to one under the empirical class
+    distribution (balanced counts give all ones), not as a plain mean.
     """
     counts = np.asarray(class_counts, dtype=np.float64)
     if counts.ndim != 1 or counts.size == 0:
@@ -138,9 +136,4 @@ def alpha_from_frequencies(class_counts, convention: str = "inverse-frequency") 
     if np.any(counts <= 0):
         bad = int(np.argmin(counts))
         raise ConfigError(f"class {bad} has no examples; cannot weight a degenerate class")
-    alpha = counts.sum() / (counts.size * counts)
-    if convention == "mean-one":
-        alpha = alpha / alpha.mean()
-    elif convention != "inverse-frequency":
-        raise ConfigError(f"unknown alpha convention {convention!r}")
-    return alpha
+    return counts.sum() / (counts.size * counts)

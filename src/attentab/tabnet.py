@@ -23,6 +23,7 @@ from .autodiff import (
     SQRT_HALF,
     BatchNorm,
     Parameter,
+    Registry,
     Tape,
     Tensor,
     add,
@@ -35,6 +36,7 @@ from .autodiff import (
     mask_fill,
     mul,
     reduce_sum,
+    register,
     relu,
     scale,
     slice_cols,
@@ -90,25 +92,31 @@ class TabNetConfig:
 class LinearLayer:
     """Dense layer with Glorot-uniform weights and zero biases."""
 
-    def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int, name: str):
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        in_dim: int,
+        out_dim: int,
+        name: str,
+        registry: Registry | None = None,
+    ):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
-        self.w = Parameter(rng.uniform(-limit, limit, size=(in_dim, out_dim)), name=f"{name}/w")
-        self.b = Parameter(np.zeros(out_dim), name=f"{name}/b")
+        w = rng.uniform(-limit, limit, size=(in_dim, out_dim))
+        self.w = register(registry, Parameter(w, name=f"{name}/w"))
+        self.b = register(registry, Parameter(np.zeros(out_dim), name=f"{name}/b"))
 
     def __call__(self, tape: Tape | None, x: Tensor) -> Tensor:
         return linear(tape, x, self.w, self.b)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
 
 
 class GLUBlock:
     """linear -> batch norm -> gated linear unit.
 
     A block can borrow its linear layer and its BN scale/shift from another
-    block (parameter sharing across decision steps). Borrowed pieces are not
-    re-registered; BN running statistics always stay local to the block, so
-    each call site normalizes with statistics of its own input distribution.
+    block (parameter sharing across decision steps). Borrowed pieces were
+    registered by their creator and are not registered again; BN running
+    statistics always stay local to the block, so each call site normalizes
+    with statistics of its own input distribution.
     """
 
     def __init__(
@@ -120,29 +128,23 @@ class GLUBlock:
         name: str,
         shared_fc: LinearLayer | None = None,
         shared_affine: tuple[Parameter, Parameter] | None = None,
+        registry: Registry | None = None,
     ):
-        if shared_fc is None:
-            self.fc = LinearLayer(rng, in_dim, 2 * out_dim, f"{name}/fc")
-            self._owns_fc = True
-        else:
-            self.fc = shared_fc
-            self._owns_fc = False
+        self.fc = (
+            LinearLayer(rng, in_dim, 2 * out_dim, f"{name}/fc", registry)
+            if shared_fc is None
+            else shared_fc
+        )
         self.bn = BatchNorm(
-            2 * out_dim, virtual_batch=virtual_batch, name=f"{name}/bn", affine=shared_affine
+            2 * out_dim,
+            virtual_batch=virtual_batch,
+            name=f"{name}/bn",
+            affine=shared_affine,
+            registry=registry,
         )
 
     def __call__(self, tape: Tape | None, x: Tensor, training: bool) -> Tensor:
         return glu(tape, self.bn(tape, self.fc(tape, x), training))
-
-    def parameters(self) -> list[Parameter]:
-        out = self.fc.parameters() if self._owns_fc else []
-        return out + self.bn.parameters()
-
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        if self._owns_fc:
-            out += [(self.fc.w.name, self.fc.w.data), (self.fc.b.name, self.fc.b.data)]
-        return out + self.bn.state_arrays()
 
 
 class FeatureTransformer:
@@ -160,18 +162,6 @@ class FeatureTransformer:
             h = scale(tape, add(tape, block(tape, h, training), h), SQRT_HALF)
         return h
 
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for block in self.blocks:
-            out.extend(block.parameters())
-        return out
-
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for block in self.blocks:
-            out.extend(block.state_arrays())
-        return out
-
 
 class AttentiveTransformer:
     """Produces the step mask: sparsemax(prior * BN(FC(a_prev)))."""
@@ -183,9 +173,12 @@ class AttentiveTransformer:
         d_features: int,
         virtual_batch: int | None,
         name: str,
+        registry: Registry | None = None,
     ):
-        self.fc = LinearLayer(rng, n_a, d_features, f"{name}/fc")
-        self.bn = BatchNorm(d_features, virtual_batch=virtual_batch, name=f"{name}/bn")
+        self.fc = LinearLayer(rng, n_a, d_features, f"{name}/fc", registry)
+        self.bn = BatchNorm(
+            d_features, virtual_batch=virtual_batch, name=f"{name}/bn", registry=registry
+        )
 
     def __call__(self, tape: Tape | None, a_prev: Tensor, prior: Tensor, training: bool) -> Tensor:
         h = self.bn(tape, self.fc(tape, a_prev), training)
@@ -194,15 +187,6 @@ class AttentiveTransformer:
         if not keep.all():
             scores = mask_fill(tape, scores, keep, EXCLUDED_SCORE)
         return sparsemax(tape, scores)
-
-    def parameters(self) -> list[Parameter]:
-        return self.fc.parameters() + self.bn.parameters()
-
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            (self.fc.w.name, self.fc.w.data),
-            (self.fc.b.name, self.fc.b.data),
-        ] + self.bn.state_arrays()
 
 
 @dataclass
@@ -263,6 +247,9 @@ class TabNetClassifier:
                 )
 
         rng = np.random.default_rng(config.seed)
+        # Filled in construction order, which is the persisted array order.
+        self.registry: Registry = {}
+        reg = self.registry
 
         # Embedding tables carry one extra row: the reserved code for values
         # unseen at fit time equals the fitted cardinality.
@@ -274,25 +261,27 @@ class TabNetClassifier:
                 self._columns.append((col.name, KIND_CONTINUOUS, 1))
             else:
                 width = next(dim_iter)
-                table = Parameter(
-                    rng.normal(0.0, 0.1, size=(int(col.cardinality) + 1, width)),
-                    name=f"embed/{col.name}",
+                self.embeddings[col.name] = register(
+                    reg,
+                    Parameter(
+                        rng.normal(0.0, 0.1, size=(int(col.cardinality) + 1, width)),
+                        name=f"embed/{col.name}",
+                    ),
                 )
-                self.embeddings[col.name] = table
                 self._columns.append((col.name, KIND_CATEGORICAL, width))
         self.d_model = sum(width for _, _, width in self._columns)
 
         width = config.n_d + config.n_a
         vb = config.virtual_batch
-        self.input_bn = BatchNorm(self.d_model, name="input_bn")
+        self.input_bn = BatchNorm(self.d_model, name="input_bn", registry=reg)
         self.shared_fcs = [
-            LinearLayer(rng, self.d_model, 2 * width, "shared/0/fc"),
-            LinearLayer(rng, width, 2 * width, "shared/1/fc"),
+            LinearLayer(rng, self.d_model, 2 * width, "shared/0/fc", reg),
+            LinearLayer(rng, width, 2 * width, "shared/1/fc", reg),
         ]
         self.shared_affines = [
             (
-                Parameter(np.ones(2 * width), name=f"shared/{k}/bn.gamma"),
-                Parameter(np.zeros(2 * width), name=f"shared/{k}/bn.beta"),
+                register(reg, Parameter(np.ones(2 * width), name=f"shared/{k}/bn.gamma")),
+                register(reg, Parameter(np.zeros(2 * width), name=f"shared/{k}/bn.beta")),
             )
             for k in range(2)
         ]
@@ -304,65 +293,45 @@ class TabNetClassifier:
                     GLUBlock(
                         rng, self.d_model, width, vb, f"ft/{t}/shared/0",
                         shared_fc=self.shared_fcs[0], shared_affine=self.shared_affines[0],
+                        registry=reg,
                     ),
                     GLUBlock(
                         rng, width, width, vb, f"ft/{t}/shared/1",
                         shared_fc=self.shared_fcs[1], shared_affine=self.shared_affines[1],
+                        registry=reg,
                     ),
-                    GLUBlock(rng, width, width, vb, f"ft/{t}/own/0"),
-                    GLUBlock(rng, width, width, vb, f"ft/{t}/own/1"),
+                    GLUBlock(rng, width, width, vb, f"ft/{t}/own/0", registry=reg),
+                    GLUBlock(rng, width, width, vb, f"ft/{t}/own/1", registry=reg),
                 ]
             )
             for t in range(config.n_steps + 1)
         ]
         self.attentives = [
-            AttentiveTransformer(rng, config.n_a, self.d_model, vb, f"att/{i}")
+            AttentiveTransformer(rng, config.n_a, self.d_model, vb, f"att/{i}", reg)
             for i in range(config.n_steps)
         ]
-        self.final = LinearLayer(rng, config.n_d, self.n_classes, "final")
+        self.final = LinearLayer(rng, config.n_d, self.n_classes, "final", reg)
 
     # ---------------------------------------------------------------- state
 
     def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = list(self.embeddings.values())
-        params += self.input_bn.parameters()
-        for fc in self.shared_fcs:
-            params += fc.parameters()
-        for gamma, beta in self.shared_affines:
-            params += [gamma, beta]
-        for tr in self.transformers:
-            params += tr.parameters()
-        for att in self.attentives:
-            params += att.parameters()
-        params += self.final.parameters()
-        return params
+        return [v for v in self.registry.values() if isinstance(v, Parameter)]
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         """All persistent arrays (trainable parameters plus BN buffers)."""
-        out: list[tuple[str, np.ndarray]] = [
-            (p.name, p.data) for p in self.embeddings.values()
+        return [
+            (name, v.data if isinstance(v, Parameter) else v)
+            for name, v in self.registry.items()
         ]
-        out += self.input_bn.state_arrays()
-        for fc in self.shared_fcs:
-            out += [(fc.w.name, fc.w.data), (fc.b.name, fc.b.data)]
-        for gamma, beta in self.shared_affines:
-            out += [(gamma.name, gamma.data), (beta.name, beta.data)]
-        for tr in self.transformers:
-            out += tr.state_arrays()
-        for att in self.attentives:
-            out += att.state_arrays()
-        out += [(self.final.w.name, self.final.w.data), (self.final.b.name, self.final.b.data)]
-        return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        expected = self.state_arrays()
-        if set(arrays) != {name for name, _ in expected}:
-            missing = {name for name, _ in expected} - set(arrays)
-            extra = set(arrays) - {name for name, _ in expected}
+        missing = self.registry.keys() - arrays.keys()
+        extra = arrays.keys() - self.registry.keys()
+        if missing or extra:
             raise PersistenceError(
                 f"state mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
             )
-        for name, current in expected:
+        for name, current in self.state_arrays():
             incoming = arrays[name]
             if incoming.shape != current.shape:
                 raise PersistenceError(

@@ -70,6 +70,15 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match="header"):
             load_csv(write(tmp_path / "t.csv", ""))
 
+    def test_byte_order_mark_does_not_rename_the_key(self, tmp_path):
+        values = tmp_path / "values.csv"
+        labels = tmp_path / "labels.csv"
+        values.write_text("id,place\r\n1,north\r\n2,south\r\n", encoding="utf-8-sig")
+        labels.write_text("id,status\r\n2,bad\r\n1,good\r\n", encoding="utf-8-sig")
+        joined = join_on_id(load_csv(str(values)), load_csv(str(labels)))
+        assert joined.columns == ["id", "place", "status"]
+        assert joined.rows == [["1", "north", "good"], ["2", "south", "bad"]]
+
 
 class TestJoin:
     def test_join_follows_values_order(self):

@@ -64,11 +64,6 @@ class TestAlphaWeights:
         alpha = alpha_from_frequencies(np.array([543, 73, 384]))
         np.testing.assert_allclose(alpha, [0.6138735, 4.5662100, 0.8680556], atol=1e-6)
 
-    def test_mean_one_frozen_vector(self):
-        alpha = alpha_from_frequencies(np.array([543, 73, 384]), convention="mean-one")
-        np.testing.assert_allclose(alpha, [0.3044938, 2.2649330, 0.4305732], atol=1e-6)
-        assert abs(alpha.mean() - 1.0) < 1e-12
-
     def test_balanced_counts_give_unit_weights(self):
         np.testing.assert_allclose(alpha_from_frequencies([250, 250]), [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(alpha_from_frequencies([500]), [1.0], atol=1e-12)
@@ -83,8 +78,6 @@ class TestAlphaWeights:
             alpha_from_frequencies([100, 0])
         with pytest.raises(ConfigError):
             alpha_from_frequencies([])
-        with pytest.raises(ConfigError):
-            alpha_from_frequencies([1, 2], convention="softmax")
 
 
 class TestIdentities:

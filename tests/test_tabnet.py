@@ -1,6 +1,7 @@
 """Architecture invariants: masks, priors, sharing, explain, persistence."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from attentab.tabnet import (
 
 from helpers import grad_check
 from conftest import continuous_schema
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def mixed_dataset(n_rows=24, seed=0):
@@ -372,6 +375,16 @@ class TestPersistence:
         got = loaded.predict_logits(ds.features)
         want = model.predict_logits(ds.features)
         assert got.tobytes() == want.tobytes()
+
+    def test_committed_model_re_saves_byte_identically(self, tmp_path):
+        # mini_model.attb was written by an earlier release: n_d=n_a=2,
+        # n_steps=2, one categorical and one continuous column, seed 5, after
+        # one train-mode forward so the BN running statistics are not at
+        # their defaults. Re-saving it pins array names, order and shapes.
+        committed = FIXTURES / "mini_model.attb"
+        again = tmp_path / "again.attb"
+        save_model(str(again), load_model(str(committed)))
+        assert again.read_bytes() == committed.read_bytes()
 
     def test_tampered_magic_rejected(self, tmp_path):
         model, _ = small_model()
