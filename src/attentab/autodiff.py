@@ -287,14 +287,6 @@ def add_const(tape: Tape | None, x: Tensor, c: float) -> Tensor:
     return out
 
 
-def exp(tape: Tape | None, x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data))
-    if tape is not None:
-        od = out.data
-        tape.record("exp", (x,), out, lambda g: (g * od,))
-    return out
-
-
 def log(tape: Tape | None, x: Tensor) -> Tensor:
     if np.any(x.data <= 0):
         raise ShapeError("log: input must be strictly positive")
@@ -302,43 +294,6 @@ def log(tape: Tape | None, x: Tensor) -> Tensor:
     if tape is not None:
         xd = x.data
         tape.record("log", (x,), out, lambda g: (g / xd,))
-    return out
-
-
-def pow_const(tape: Tape | None, x: Tensor, c: float) -> Tensor:
-    """x ** c for a fixed exponent c >= 0; x must be non-negative.
-
-    The c == 0 case is the constant 1 with zero gradient (avoids the
-    0 * x**-1 indeterminate form at x = 0).
-    """
-    if c < 0:
-        raise ConfigError(f"pow_const: exponent must be >= 0, got {c}")
-    if np.any(x.data < 0):
-        raise ShapeError("pow_const: base must be non-negative")
-    out = Tensor(np.power(x.data, c))
-    if tape is not None:
-        if c == 0:
-            bwd = lambda g: (np.zeros_like(g),)
-        else:
-            xd = x.data
-
-            def bwd(g):
-                # subgradient 0 at x == 0 when the true derivative diverges
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d = c * np.power(xd, c - 1.0)
-                d = np.where(np.isfinite(d), d, 0.0)
-                return (g * d,)
-
-        tape.record("pow_const", (x,), out, bwd)
-    return out
-
-
-def maximum_const(tape: Tape | None, x: Tensor, c: float) -> Tensor:
-    """Elementwise max(x, c); gradient passes only where x > c."""
-    mask = x.data > c
-    out = Tensor(np.where(mask, x.data, c))
-    if tape is not None:
-        tape.record("maximum_const", (x,), out, lambda g: (g * mask,))
     return out
 
 
@@ -363,43 +318,6 @@ def reduce_sum(tape: Tape | None, x: Tensor, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
         tape.record("reduce_sum", (x,), out, bwd)
-    return out
-
-
-def reduce_mean(tape: Tape | None, x: Tensor, axis: int | None = None) -> Tensor:
-    out = Tensor(x.data.mean(axis=axis))
-    if tape is not None:
-        shape = x.data.shape
-        n = x.data.size if axis is None else shape[axis]
-
-        def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g / n, shape).copy(),)
-            return (np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy(),)
-
-        tape.record("reduce_mean", (x,), out, bwd)
-    return out
-
-
-def gather_rows(tape: Tape | None, x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[b] = x[b, idx[b]] for a 2-d x and integer index vector idx."""
-    xd = _as2d("x", "gather_rows", x)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != (xd.shape[0],):
-        raise ShapeError(
-            f"gather_rows: index shape {idx.shape} does not match batch {xd.shape[0]}"
-        )
-    rows = np.arange(xd.shape[0])
-    out = Tensor(xd[rows, idx])
-    if tape is not None:
-        shape = xd.shape
-
-        def bwd(g):
-            gx = np.zeros(shape)
-            gx[rows, idx] = g
-            return (gx,)
-
-        tape.record("gather_rows", (x,), out, bwd)
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import DATASET_MAGIC, atomic_write_text, read_container, write_container
+from .container import DATASET_MAGIC, atomic_write_text, decoding, read_container, write_container
 from .errors import (
     ConfigError,
     EncodingError,
@@ -535,10 +535,10 @@ def save_dataset(path: str, dataset: EncodedDataset) -> None:
 
 def load_dataset(path: str) -> EncodedDataset:
     header, arrays = read_container(path, DATASET_MAGIC)
-    schema = FeatureSchema.from_dict(header["schema"])
-    return EncodedDataset(
-        features=arrays["features"],
-        labels=arrays["labels"].astype(np.int64),
-        class_counts=arrays["class_counts"].astype(np.int64),
-        schema=schema,
-    )
+    with decoding(path):
+        return EncodedDataset(
+            features=arrays["features"],
+            labels=arrays["labels"].astype(np.int64),
+            class_counts=arrays["class_counts"].astype(np.int64),
+            schema=FeatureSchema.from_dict(header["schema"]),
+        )

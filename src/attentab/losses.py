@@ -1,23 +1,25 @@
-"""Classification objectives: cross-entropy, class-weighted cross-entropy,
-and the focusing variant that down-weights confidently-correct examples.
+"""Classification objectives as one fused tape op.
 
-All three operate on row-wise log-probabilities (e.g. from
-``softmax_logprob``) and integer class labels, return both the per-example
-vector and its batch mean, and are differentiable through the tape. With
-``gamma = 0`` and unit class weights the focal objective reduces exactly to
-plain cross-entropy, elementwise.
+``focal_nll`` is the focal objective: the true-class negative
+log-probability, scaled by ``(1 - p_true) ** gamma`` and by a per-class
+weight ``alpha`` picked by the true label. Plain cross-entropy is the case
+``gamma = 0`` with unit ``alpha``, and class-weighted cross-entropy is
+``gamma = 0``, so the three objectives share one forward and one
+closed-form backward and the focal/cross-entropy identity holds by
+construction. The op works on row-wise log-probabilities (e.g. from
+``softmax_logprob``) and integer class labels, records a single tape entry
+for the batch-mean scalar, and also returns the per-example vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, LabelError
+from .errors import ConfigError, LabelError, ShapeError
 
 # floor applied to the true-class log-probability before it enters the
 # objective, so a pathologically confident wrong prediction cannot produce
@@ -26,31 +28,8 @@ LOGPROB_FLOOR = math.log(1e-12)
 
 
 @dataclass
-class FocalParams:
-    """Focusing exponent and per-class weight vector.
-
-    ``gamma``: non-negative; 0 disables focusing. ``alpha``: strictly
-    positive weight per class, applied to each example by its true label.
-    """
-
-    gamma: float = 2.0
-    alpha: np.ndarray = field(default_factory=lambda: np.ones(1))
-
-    def validate(self, n_classes: int) -> None:
-        if self.gamma < 0:
-            raise ConfigError(f"focal gamma must be >= 0, got {self.gamma}")
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        if alpha.shape != (n_classes,):
-            raise ConfigError(
-                f"alpha has shape {alpha.shape}, expected ({n_classes},)"
-            )
-        if np.any(alpha <= 0):
-            raise ConfigError("alpha entries must be strictly positive")
-
-
-@dataclass
 class LossValue:
-    """Batch-mean scalar plus the per-example loss vector, both on the tape."""
+    """Batch-mean scalar (on the tape) plus the plain per-example vector."""
 
     scalar: Tensor
     per_example: Tensor
@@ -73,56 +52,62 @@ def _check_labels(logprobs: Tensor, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _true_class_logprob(tape: Tape | None, logprobs: Tensor, labels: np.ndarray) -> Tensor:
-    picked = ad.gather_rows(tape, logprobs, labels)
-    return ad.maximum_const(tape, picked, LOGPROB_FLOOR)
-
-
-def _finish(tape: Tape | None, per_example: Tensor) -> LossValue:
-    return LossValue(scalar=ad.reduce_mean(tape, per_example), per_example=per_example)
-
-
-def ce_loss(tape: Tape | None, logprobs: Tensor, labels: np.ndarray) -> LossValue:
-    """Negative log-probability of the true class, averaged over the batch."""
-    labels = _check_labels(logprobs, labels)
-    picked = _true_class_logprob(tape, logprobs, labels)
-    return _finish(tape, ad.scale(tape, picked, -1.0))
-
-
-def balanced_ce_loss(
-    tape: Tape | None, logprobs: Tensor, labels: np.ndarray, alpha: np.ndarray
-) -> LossValue:
-    """Cross-entropy with a per-class weight applied by true label."""
-    labels = _check_labels(logprobs, labels)
+def _check_alpha_gamma(alpha, gamma: float, n_classes: int) -> np.ndarray:
+    if gamma < 0:
+        raise ConfigError(f"focal gamma must be >= 0, got {gamma}")
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (logprobs.shape[1],):
-        raise ConfigError(
-            f"alpha has shape {alpha.shape}, expected ({logprobs.shape[1]},)"
-        )
-    picked = _true_class_logprob(tape, logprobs, labels)
-    weighted = ad.mul(tape, ad.scale(tape, picked, -1.0), Tensor(alpha[labels]))
-    return _finish(tape, weighted)
+    if alpha.shape != (n_classes,):
+        raise ConfigError(f"alpha has shape {alpha.shape}, expected ({n_classes},)")
+    if np.any(alpha <= 0):
+        raise ConfigError("alpha entries must be strictly positive")
+    return alpha
 
 
-def focal_loss(
-    tape: Tape | None, logprobs: Tensor, labels: np.ndarray, params: FocalParams
+def focal_nll(
+    tape: Tape | None, logprobs: Tensor, labels: np.ndarray, alpha, gamma: float
 ) -> LossValue:
-    """Weighted cross-entropy scaled by (1 - p_true) ** gamma.
+    """Batch mean of ``alpha[y] * (1 - p_true) ** gamma * -log p_true``.
 
-    Gradient flows through both appearances of the true-class probability:
-    the log term and the focusing factor.
+    ``log p_true`` is clamped below at ``LOGPROB_FLOOR``; a clamped row
+    passes no gradient. Gradient flows through both appearances of
+    ``p_true``: the log term and the focusing factor, whose derivative is
+    taken as 0 where it diverges (``p_true = 1`` with ``gamma < 1``).
     """
     labels = _check_labels(logprobs, labels)
-    params.validate(logprobs.shape[1])
-    alpha = np.asarray(params.alpha, dtype=np.float64)
+    alpha = _check_alpha_gamma(alpha, gamma, logprobs.shape[1])
+    rows = np.arange(labels.size)
+    raw = logprobs.data[rows, labels]
+    unfloored = raw > LOGPROB_FLOOR
+    picked = np.where(unfloored, raw, LOGPROB_FLOOR)
+    p = np.exp(picked)
+    one_minus = p * -1.0 + 1.0
+    if gamma != 0 and np.any(one_minus < 0):
+        raise ShapeError("focal_nll: log-probabilities must not be positive")
+    modulator = np.power(one_minus, gamma)
+    nll = picked * -1.0
+    weight = alpha[labels]
+    per = modulator * nll * weight
+    out = Tensor(per.mean())
+    if tape is not None:
+        n = labels.size
+        shape = logprobs.shape
+        if gamma != 0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dmod = gamma * np.power(one_minus, gamma - 1.0)
+            # subgradient 0 where the focusing derivative diverges
+            dmod = np.where(np.isfinite(dmod), dmod, 0.0)
 
-    picked = _true_class_logprob(tape, logprobs, labels)
-    p_true = ad.exp(tape, picked)
-    one_minus = ad.add_const(tape, ad.scale(tape, p_true, -1.0), 1.0)
-    modulator = ad.pow_const(tape, one_minus, params.gamma)
-    nll = ad.scale(tape, picked, -1.0)
-    per_example = ad.mul(tape, ad.mul(tape, modulator, nll), Tensor(alpha[labels]))
-    return _finish(tape, per_example)
+        def bwd(g):
+            w = (g / n) * weight
+            gp = (w * modulator) * -1.0
+            if gamma != 0:
+                gp = gp + ((w * nll) * dmod) * -1.0 * p
+            gx = np.zeros(shape)
+            gx[rows, labels] = gp * unfloored
+            return (gx,)
+
+        tape.record("focal_nll", (logprobs,), out, bwd)
+    return LossValue(scalar=out, per_example=Tensor(per))
 
 
 def alpha_from_frequencies(class_counts) -> np.ndarray:

@@ -42,7 +42,7 @@ from .autodiff import (
     slice_cols,
     sparsemax,
 )
-from .container import MODEL_MAGIC, read_container, write_container
+from .container import MODEL_MAGIC, decoding, read_container, write_container
 from .data import KIND_CATEGORICAL, KIND_CONTINUOUS, FeatureSchema
 from .errors import ConfigError, EncodingError, ModelStateError, PersistenceError
 
@@ -53,6 +53,10 @@ from .errors import ConfigError, EncodingError, ModelStateError, PersistenceErro
 EXCLUDED_SCORE = -1e30
 
 SPARSITY_EPS = 1e-10
+
+# rows per eval-mode forward in predict_logits, explain and evaluation, so
+# memory stays bounded however many rows are scored
+EVAL_BATCH = 4096
 
 
 @dataclass
@@ -422,13 +426,20 @@ class TabNetClassifier:
         sparsity = scale(tape, entropy_sum, -1.0 / (cfg.n_steps * B))
         return ForwardOutput(logits=logits, masks=masks, decisions=decisions, sparsity=sparsity)
 
-    def predict_logits(self, X: np.ndarray, batch_size: int = 4096) -> np.ndarray:
-        """Eval-mode logits, computed in bounded-memory chunks."""
-        chunks = []
+    def _eval_chunks(self, X: np.ndarray, batch_size: int = EVAL_BATCH):
+        """Eval-mode forwards over bounded-memory row chunks: yields
+        (row slice, ForwardOutput) pairs."""
+        if X.shape[0] == 0:
+            raise ConfigError("cannot score an empty row set")
         for start in range(0, X.shape[0], batch_size):
-            out = self.forward(None, X[start : start + batch_size], training=False)
-            chunks.append(out.logits.data)
-        return np.concatenate(chunks, axis=0)
+            rows = slice(start, start + batch_size)
+            yield rows, self.forward(None, X[rows], training=False)
+
+    def predict_logits(self, X: np.ndarray, batch_size: int = EVAL_BATCH) -> np.ndarray:
+        """Eval-mode logits, computed in bounded-memory chunks."""
+        return np.concatenate(
+            [out.logits.data for _, out in self._eval_chunks(X, batch_size)], axis=0
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_logits(X), axis=1)
@@ -437,37 +448,42 @@ class TabNetClassifier:
 
     def explain(self, X: np.ndarray) -> MaskReport:
         """Aggregate step masks into instance/global feature importances,
-        attributed back to raw columns."""
+        attributed back to raw columns. Runs in the same row chunks as
+        ``predict_logits``; every quantity but the global mean is per row."""
         if not self.fitted:
             raise ModelStateError("explain requires a fitted model")
-        out = self.forward(None, X, training=False)
-        masks = [m.data for m in out.masks]
-        step_weights = np.stack([d.data.sum(axis=1) for d in out.decisions], axis=1)
-
-        embedded = np.zeros_like(masks[0])
-        for i, mask in enumerate(masks):
-            embedded += step_weights[:, i : i + 1] * mask
-        row_sums = embedded.sum(axis=1, keepdims=True)
-        # Rows whose every decision output is zero carry no weighting signal;
-        # fall back to the plain mask average (rows of which sum to 1).
-        degenerate = row_sums[:, 0] <= 0.0
-        if degenerate.any():
-            fallback = np.mean(masks, axis=0)
-            embedded[degenerate] = fallback[degenerate]
-            row_sums = embedded.sum(axis=1, keepdims=True)
-        embedded /= row_sums
-
+        n_rows, n_steps = X.shape[0], self.config.n_steps
         attribution = self.attribution_map()
-        names = [name for name, _ in attribution]
-        instance = np.empty((embedded.shape[0], len(attribution)))
-        for r, (_, cols) in enumerate(attribution):
-            instance[:, r] = embedded[:, cols].sum(axis=1)
+        masks = [np.empty((n_rows, self.d_model)) for _ in range(n_steps)]
+        step_weights = np.empty((n_rows, n_steps))
+        instance = np.empty((n_rows, len(attribution)))
+        for rows, out in self._eval_chunks(X):
+            chunk_masks = [m.data for m in out.masks]
+            weights = np.stack([d.data.sum(axis=1) for d in out.decisions], axis=1)
+
+            embedded = np.zeros_like(chunk_masks[0])
+            for i, mask in enumerate(chunk_masks):
+                embedded += weights[:, i : i + 1] * mask
+                masks[i][rows] = mask
+            row_sums = embedded.sum(axis=1, keepdims=True)
+            # Rows whose every decision output is zero carry no weighting
+            # signal; fall back to the plain mask average (rows of which sum to 1).
+            degenerate = row_sums[:, 0] <= 0.0
+            if degenerate.any():
+                fallback = np.mean(chunk_masks, axis=0)
+                embedded[degenerate] = fallback[degenerate]
+                row_sums = embedded.sum(axis=1, keepdims=True)
+            embedded /= row_sums
+
+            step_weights[rows] = weights
+            for r, (_, cols) in enumerate(attribution):
+                instance[rows, r] = embedded[:, cols].sum(axis=1)
         return MaskReport(
             per_step_masks=masks,
             step_weights=step_weights,
             instance_importance=instance,
             global_importance=instance.mean(axis=0),
-            feature_names=names,
+            feature_names=[name for name, _ in attribution],
         )
 
 
@@ -490,16 +506,17 @@ def save_model(path: str, model: TabNetClassifier) -> None:
 
 def load_model(path: str) -> TabNetClassifier:
     header, arrays = read_container(path, MODEL_MAGIC)
-    config = TabNetConfig(**header["config"])
-    if isinstance(config.embed_dims, list):
-        config.embed_dims = [int(d) for d in config.embed_dims]
-    schema = FeatureSchema.from_dict(header["schema"])
-    model = TabNetClassifier(config, schema)
-    if model.n_classes != header["n_classes"]:
-        raise PersistenceError(
-            f"header claims {header['n_classes']} classes, schema implies {model.n_classes}"
-        )
-    model.load_state(arrays)
+    with decoding(path):
+        config = TabNetConfig(**header["config"])
+        if isinstance(config.embed_dims, list):
+            config.embed_dims = [int(d) for d in config.embed_dims]
+        schema = FeatureSchema.from_dict(header["schema"])
+        model = TabNetClassifier(config, schema)
+        if model.n_classes != header["n_classes"]:
+            raise PersistenceError(
+                f"header claims {header['n_classes']} classes, schema implies {model.n_classes}"
+            )
+        model.load_state(arrays)
     model.fitted = bool(header.get("fitted", False))
     model.train_info = header.get("train_info")
     return model

@@ -17,10 +17,8 @@ from .autodiff import Adam, Tape, add, scale, softmax_logprob
 from .container import atomic_write_text
 from .data import EncodedDataset, Split
 from .errors import ConfigError, NumericsError, ShapeError
-from .losses import FocalParams, LossValue, alpha_from_frequencies, balanced_ce_loss, ce_loss, focal_loss
-from .tabnet import TabNetClassifier
-
-EVAL_BATCH = 4096
+from .losses import LossValue, alpha_from_frequencies, focal_nll
+from .tabnet import EVAL_BATCH, TabNetClassifier
 
 LOSS_KINDS = ("cce", "balanced", "focal")
 ALPHA_MODES = ("auto", "uniform")
@@ -241,16 +239,15 @@ def resolve_loss_spec(config: TrainConfig, train_class_counts: np.ndarray) -> di
 
 
 def batch_loss(tape: Tape | None, logits, labels: np.ndarray, loss_spec: dict) -> LossValue:
+    """Softmax plus the one focal op: cce is gamma 0 with unit alpha,
+    balanced is gamma 0 with the spec's alpha."""
     kind = loss_spec["kind"]
     if kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}")
     logprobs = softmax_logprob(tape, logits)
-    if kind == "cce":
-        return ce_loss(tape, logprobs, labels)
-    alpha = np.asarray(loss_spec["alpha"], dtype=np.float64)
-    if kind == "balanced":
-        return balanced_ce_loss(tape, logprobs, labels, alpha)
-    return focal_loss(tape, logprobs, labels, FocalParams(gamma=loss_spec["gamma"], alpha=alpha))
+    alpha = np.ones(logprobs.shape[1]) if kind == "cce" else loss_spec["alpha"]
+    gamma = loss_spec["gamma"] if kind == "focal" else 0.0
+    return focal_nll(tape, logprobs, labels, alpha, gamma)
 
 
 # ------------------------------------------------------------------- eval

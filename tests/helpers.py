@@ -173,35 +173,19 @@ def op_fd_cases(rng):
 
     add_case("scale", lambda t, x: ad.scale(t, x, -1.7), rng.normal(size=(B, F)))
     add_case("add_const", lambda t, x: ad.add_const(t, x, 0.3), rng.normal(size=(B, F)))
-    add_case("exp", ad.exp, rng.normal(size=(B, F)))
     add_case("log", ad.log, 0.1 + np.abs(rng.normal(size=(B, F))))
-    add_case(
-        "pow_const",
-        lambda t, x: ad.pow_const(t, x, 1.7),
-        0.05 + np.abs(rng.normal(size=(B, F))),
-    )
-    add_case(
-        "maximum_const",
-        lambda t, x: ad.maximum_const(t, x, 0.2),
-        _away_from(rng, (B, F), 0.2),
-    )
     keep = rng.random((B, F)) > 0.4
     add_case("mask_fill", lambda t, x: ad.mask_fill(t, x, keep, -3.0), rng.normal(size=(B, F)))
 
-    for name, red in (("reduce_sum_all", ad.reduce_sum), ("reduce_mean_all", ad.reduce_mean)):
-        xr = ad.Parameter(rng.normal(size=(B, F)))
-        cr = float(rng.normal())
+    xr = ad.Parameter(rng.normal(size=(B, F)))
+    cr = float(rng.normal())
 
-        def red_loss(tape, red=red, xr=xr, cr=cr):
-            return ad.scale(tape, red(tape, xr), cr)
+    def red_loss(tape):
+        return ad.scale(tape, ad.reduce_sum(tape, xr), cr)
 
-        cases.append((name, red_loss, [xr]))
+    cases.append(("reduce_sum_all", red_loss, [xr]))
 
     add_case("reduce_sum_rows", lambda t, x: ad.reduce_sum(t, x, axis=0), rng.normal(size=(B, F)), out_shape=(F,))
-    add_case("reduce_mean_cols", lambda t, x: ad.reduce_mean(t, x, axis=1), rng.normal(size=(B, F)), out_shape=(B,))
-
-    idx = rng.integers(0, F, size=B)
-    add_case("gather_rows", lambda t, x: ad.gather_rows(t, x, idx), rng.normal(size=(B, F)), out_shape=(B,))
 
     codes = rng.integers(0, 5, size=B)
     codes[1] = codes[0]  # force a duplicate so scatter-add accumulation is probed

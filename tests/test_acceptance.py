@@ -26,13 +26,14 @@ from attentab.data import (
     save_dataset,
     stratified_split,
 )
-from attentab.losses import FocalParams, balanced_ce_loss, ce_loss, focal_loss
+from attentab.losses import focal_nll
 from attentab.synthetic import dataset_from_arrays, make_classification, make_imbalanced
 from attentab.tabnet import TabNetClassifier, TabNetConfig, load_model, save_model
 from attentab.train import (
     EarlyStopping,
     PlateauScheduler,
     TrainConfig,
+    batch_loss,
     evaluate,
     fit,
     resolve_loss_spec,
@@ -91,12 +92,14 @@ def test_criterion_02_finite_difference_gradients():
     labels = rng.integers(0, C, size=B)
     alpha = np.array([0.6, 1.7, 0.9])
     logits = Parameter(rng.normal(size=(B, C)), "logits")
+    specs = [
+        {"kind": "cce"},
+        {"kind": "balanced", "alpha": list(alpha)},
+        {"kind": "focal", "alpha": list(alpha), "gamma": 2.0},
+        {"kind": "focal", "alpha": list(alpha), "gamma": 1.5},
+    ]
     loss_builders = [
-        lambda t: ce_loss(t, softmax_logprob(t, logits), labels).scalar,
-        lambda t: balanced_ce_loss(t, softmax_logprob(t, logits), labels, alpha).scalar,
-        lambda t: focal_loss(
-            t, softmax_logprob(t, logits), labels, FocalParams(gamma=2.0, alpha=alpha)
-        ).scalar,
+        lambda t, spec=spec: batch_loss(t, logits, labels, spec).scalar for spec in specs
     ]
     worst_loss = 0.0
     for build in loss_builders:
@@ -111,7 +114,7 @@ def test_criterion_02_finite_difference_gradients():
 
     def build_e2e(tape):
         out = model.forward(tape, X, training=True)
-        lv = ce_loss(tape, softmax_logprob(tape, out.logits), y)
+        lv = batch_loss(tape, out.logits, y, {"kind": "cce"})
         return ad.add(tape, lv.scalar, ad.scale(tape, out.sparsity, cfg.lambda_sparse))
 
     worst_e2e = grad_check(build_e2e, model.parameters(), rng, samples=2)
@@ -131,18 +134,18 @@ def test_criterion_03_loss_identities_and_monotonicity():
     ones = np.ones(C)
     worst_focal = worst_balanced = 0.0
     for _ in range(100):
-        lp = softmax_logprob(None, Tensor(rng.normal(scale=2.0, size=(B, C))))
+        logits = Tensor(rng.normal(scale=2.0, size=(B, C)))
         labels = rng.integers(0, C, size=B)
-        base = ce_loss(None, lp, labels).per_example.data
-        fl = focal_loss(None, lp, labels, FocalParams(gamma=0.0, alpha=ones))
-        bl = balanced_ce_loss(None, lp, labels, ones)
+        # independent oracle: the true-class negative log-softmax
+        base = -softmax_logprob(None, logits).data[np.arange(B), labels]
+        fl = batch_loss(None, logits, labels, {"kind": "focal", "gamma": 0.0, "alpha": list(ones)})
+        bl = batch_loss(None, logits, labels, {"kind": "balanced", "alpha": list(ones)})
         worst_focal = max(worst_focal, float(np.abs(fl.per_example.data - base).max()))
         worst_balanced = max(worst_balanced, float(np.abs(bl.per_example.data - base).max()))
 
     def focal_at(p, gamma):
         lp = np.log(np.array([[p, 1.0 - p]]))
-        params = FocalParams(gamma=gamma, alpha=np.ones(2))
-        return focal_loss(None, Tensor(lp), np.array([0]), params).item()
+        return focal_nll(None, Tensor(lp), np.array([0]), np.ones(2), gamma).item()
 
     p_grid = np.linspace(0.05, 0.99, 40)
     mono_p = all(

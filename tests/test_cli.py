@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,47 @@ class TestThreadEnv:
         code, _, err = run(["inspect"], capsys)
         assert code == 2
         assert "ATTENTAB_THREADS" in err
+
+
+class TestOutputFiles:
+    def test_outputs_follow_the_umask(self, tmp_path, monkeypatch, capsys):
+        in_dir(monkeypatch, tmp_path)
+        old = os.umask(0o022)
+        try:
+            assert run(["preprocess", "--values", VALUES, "--labels", LABELS], capsys)[0] == 0
+            assert run(["train"] + FAST_TRAIN, capsys)[0] == 0
+        finally:
+            os.umask(old)
+        for name in ("schema.json", "dataset.attd", "model.attb", "history.csv", "metrics.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
+
+    def test_rerun_is_bit_identical_across_thread_counts(self, tmp_path):
+        import attentab
+        from attentab.synthetic import make_classification, write_csv_pair
+
+        X, y, _ = make_classification(n_rows=4000, n_noise=15, seed=11)  # 4,000 x 20
+        write_csv_pair(str(tmp_path / "v.csv"), str(tmp_path / "l.csv"), X, y)
+        src = str(Path(attentab.__file__).resolve().parents[1])
+        models = []
+        t0 = time.perf_counter()
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = dict(os.environ, ATTENTAB_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            for argv in (
+                ["preprocess", "--values", "../v.csv", "--labels", "../l.csv"],
+                ["train", "--max-epochs", "1", "--n-d", "64", "--n-a", "64",
+                 "--virtual-batch", "128"],
+            ):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "attentab.cli"] + argv,
+                    cwd=out, env=env, capture_output=True, text=True, timeout=60,
+                )
+                assert proc.returncode == 0, proc.stderr
+            models.append((out / "model.attb").read_bytes())
+        assert models[0] == models[1]
+        assert time.perf_counter() - t0 < 15.0
 
 
 class TestEntryPoint:

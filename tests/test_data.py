@@ -1,8 +1,12 @@
 """CSV ingestion, schema fitting, encoding, splitting, dataset persistence."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from attentab.container import DATASET_MAGIC, read_container, write_container
 from attentab.data import (
     KIND_CATEGORICAL,
     KIND_CONTINUOUS,
@@ -397,3 +401,61 @@ class TestInspectAndPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(PersistenceError):
             load_dataset(str(path))
+
+    def test_missing_array_names_the_file(self, tmp_path):
+        ds = toy_dataset((5, 5))
+        path = str(tmp_path / "d.attd")
+        header = {"schema": ds.schema.to_dict()}
+        write_container(path, DATASET_MAGIC, header, [("labels", ds.labels.astype(float))])
+        with pytest.raises(PersistenceError, match="d.attd.*features"):
+            load_dataset(path)
+
+    def test_mistyped_schema_names_the_file(self, tmp_path):
+        ds = toy_dataset((5, 5))
+        path = str(tmp_path / "d.attd")
+        schema = ds.schema.to_dict()
+        schema["columns"][0]["colour"] = "red"  # unknown ColumnSchema field
+        save_dataset(path, ds)
+        arrays = list(read_container(path, DATASET_MAGIC)[1].items())
+        write_container(path, DATASET_MAGIC, {"schema": schema}, arrays)
+        with pytest.raises(PersistenceError, match="d.attd"):
+            load_dataset(path)
+
+
+class TestContainerManifest:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"shape": [1]},
+            {"name": 7, "shape": [1]},
+            {"name": "a"},
+            {"name": "a", "shape": 1},
+            {"name": "a", "shape": [-1]},
+            {"name": "a", "shape": [1.0]},
+            {"name": "a", "shape": [True]},
+            "a",
+        ],
+    )
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "c.attd"
+        path.write_bytes(raw_container({"arrays": [entry]}, b"\0" * 8))
+        with pytest.raises(PersistenceError, match="c.attd"):
+            read_container(str(path), DATASET_MAGIC)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "c.attd"
+        manifest = [{"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}]
+        path.write_bytes(raw_container({"arrays": manifest}, b"\0" * 16))
+        with pytest.raises(PersistenceError, match="'a' listed twice"):
+            read_container(str(path), DATASET_MAGIC)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "c.attd"
+        path.write_bytes(raw_container([1, 2], b""))
+        with pytest.raises(PersistenceError, match="manifest"):
+            read_container(str(path), DATASET_MAGIC)
+
+
+def raw_container(header, blobs: bytes) -> bytes:
+    text = json.dumps(header).encode("utf-8")
+    return DATASET_MAGIC + struct.pack("<Q", len(text)) + text + blobs

@@ -1,4 +1,8 @@
-"""Loss family: frozen hand values, identities, monotonicity, gradients."""
+"""Loss family: frozen hand values, identities, monotonicity, gradients.
+
+Every objective is the one ``focal_nll`` op; cross-entropy is gamma 0 with
+unit alpha and the balanced loss is gamma 0.
+"""
 
 import math
 
@@ -6,15 +10,9 @@ import numpy as np
 import pytest
 
 from attentab import autodiff as ad
-from attentab.errors import ConfigError, LabelError
-from attentab.losses import (
-    LOGPROB_FLOOR,
-    FocalParams,
-    alpha_from_frequencies,
-    balanced_ce_loss,
-    ce_loss,
-    focal_loss,
-)
+from attentab.errors import ConfigError, LabelError, ShapeError
+from attentab.losses import LOGPROB_FLOOR, alpha_from_frequencies, focal_nll
+from attentab.train import LOSS_KINDS, batch_loss
 
 from helpers import grad_check
 
@@ -28,35 +26,76 @@ def logprob_rows(p_true, n_classes=2):
     return ad.Tensor(np.array(rows))
 
 
+def ce(lp, labels):
+    return focal_nll(None, lp, labels, np.ones(lp.shape[1]), 0.0)
+
+
+def focal(lp, labels, gamma, alpha=None):
+    alpha = np.ones(lp.shape[1]) if alpha is None else alpha
+    return focal_nll(None, lp, labels, alpha, gamma)
+
+
+def logprob_grad(lp_data, label, alpha, gamma):
+    """d loss / d logprob for a single-row batch, taken from the tape."""
+    lp = ad.Parameter(lp_data)
+    tape = ad.Tape()
+    tape.backward(focal_nll(tape, lp, np.array([label]), alpha, gamma).scalar)
+    return lp.grad
+
+
+SPECS = {
+    "cce": lambda c: {"kind": "cce"},
+    "balanced": lambda c: {"kind": "balanced", "alpha": [1.0] * c},
+    "focal": lambda c: {"kind": "focal", "gamma": 0, "alpha": [1.0] * c},
+}
+
+
 class TestFrozenValues:
     def test_ce_at_point_nine(self):
-        loss = ce_loss(None, logprob_rows([0.9]), np.array([0]))
+        loss = ce(logprob_rows([0.9]), np.array([0]))
         assert abs(loss.item() - 0.1053605) < 1e-6
 
     def test_ce_perfect_prediction_is_zero(self):
         lp = ad.Tensor(np.array([[0.0, -50.0]]))
-        assert ce_loss(None, lp, np.array([0])).item() == 0.0
+        assert ce(lp, np.array([0])).item() == 0.0
 
     def test_focal_at_point_nine(self):
         # 0.25 * (1 - 0.9)^2 * (-ln 0.9) = 2.634013e-4
-        params = FocalParams(gamma=2.0, alpha=np.array([0.25, 0.25]))
-        loss = focal_loss(None, logprob_rows([0.9]), np.array([0]), params)
+        loss = focal(logprob_rows([0.9]), np.array([0]), 2.0, np.array([0.25, 0.25]))
         assert abs(loss.item() - 2.634013e-4) < 1e-9
+
+    def test_focal_gradient_at_point_nine(self):
+        # -0.25 * (0.1^2 + 2 * 0.1 * 0.9 * (-ln 0.9)) = -0.0072412232
+        g = logprob_grad(logprob_rows([0.9]).data, 0, np.array([0.25, 0.25]), 2.0)
+        assert abs(g[0, 0] - (-0.0072412232)) < 1e-10
+        assert g[0, 1] == 0.0
 
     def test_balanced_weights_by_true_class(self):
         lp = logprob_rows([0.9, 0.9])
         labels = np.array([0, 1])
         lp.data[1] = lp.data[1][::-1]  # second row: true class 1 at 0.9
-        loss = balanced_ce_loss(None, lp, labels, np.array([2.0, 0.5]))
+        loss = focal_nll(None, lp, labels, np.array([2.0, 0.5]), 0.0)
         per = loss.per_example.data
         assert abs(per[0] - 2.0 * 0.1053605) < 1e-6
         assert abs(per[1] - 0.5 * 0.1053605) < 1e-6
 
     def test_logprob_floor_bounds_the_loss(self):
         lp = ad.Tensor(np.array([[-100.0, 0.0]]))
-        loss = ce_loss(None, lp, np.array([0]))
+        loss = ce(lp, np.array([0]))
         assert abs(loss.item() - (-LOGPROB_FLOOR)) < 1e-9
         assert abs(loss.item() - 27.6310211) < 1e-6
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    def test_floored_row_passes_no_gradient(self, gamma):
+        g = logprob_grad(np.array([[-100.0, 0.0]]), 0, np.ones(2), gamma)
+        np.testing.assert_array_equal(g, 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_certain_row_gradient_is_finite(self, gamma):
+        # p_true rounds to 1, where d/dp (1 - p) ** gamma diverges for gamma < 1
+        g = logprob_grad(np.array([[0.0, -50.0]]), 0, np.ones(2), gamma)
+        assert np.all(np.isfinite(g))
+        assert g[0, 0] == (-1.0 if gamma == 0.0 else 0.0)
 
 
 class TestAlphaWeights:
@@ -85,12 +124,11 @@ class TestIdentities:
         for _ in range(100):
             n, c = int(rng.integers(1, 9)), int(rng.integers(2, 5))
             logits = ad.Tensor(rng.normal(size=(n, c)))
-            lp = ad.softmax_logprob(None, logits)
             labels = rng.integers(0, c, size=n)
-            ce = ce_loss(None, lp, labels)
-            fl = focal_loss(None, lp, labels, FocalParams(gamma=0.0, alpha=np.ones(c)))
-            assert fl.per_example.data.tobytes() == ce.per_example.data.tobytes()
-            assert fl.scalar.data.tobytes() == ce.scalar.data.tobytes()
+            base = batch_loss(None, logits, labels, SPECS["cce"](c))
+            fl = batch_loss(None, logits, labels, SPECS["focal"](c))
+            assert fl.per_example.data.tobytes() == base.per_example.data.tobytes()
+            assert fl.scalar.data.tobytes() == base.scalar.data.tobytes()
 
     def test_focal_gamma_zero_gradients_match_ce_bit_exact(self, rng):
         logits = ad.Parameter(rng.normal(size=(5, 3)))
@@ -99,64 +137,60 @@ class TestIdentities:
         def run(kind):
             logits.zero_grad()
             tape = ad.Tape()
-            lp = ad.softmax_logprob(tape, logits)
-            if kind == "ce":
-                loss = ce_loss(tape, lp, labels)
-            else:
-                loss = focal_loss(tape, lp, labels, FocalParams(0.0, np.ones(3)))
-            tape.backward(loss.scalar)
-            return logits.grad.copy()
+            tape.backward(batch_loss(tape, logits, labels, SPECS[kind](3)).scalar)
+            return logits.grad.tobytes()
 
-        assert run("ce").tobytes() == run("focal").tobytes()
+        assert run("cce") == run("focal") == run("balanced")
 
     def test_balanced_with_unit_alpha_is_ce(self, rng):
         for _ in range(20):
-            lp = ad.softmax_logprob(None, ad.Tensor(rng.normal(size=(6, 4))))
+            logits = ad.Tensor(rng.normal(size=(6, 4)))
             labels = rng.integers(0, 4, size=6)
-            ce = ce_loss(None, lp, labels)
-            bal = balanced_ce_loss(None, lp, labels, np.ones(4))
-            assert bal.per_example.data.tobytes() == ce.per_example.data.tobytes()
+            base = batch_loss(None, logits, labels, SPECS["cce"](4))
+            bal = batch_loss(None, logits, labels, SPECS["balanced"](4))
+            assert bal.per_example.data.tobytes() == base.per_example.data.tobytes()
+            assert bal.scalar.data.tobytes() == base.scalar.data.tobytes()
 
     def test_scalar_is_mean_of_per_example(self, rng):
         lp = ad.softmax_logprob(None, ad.Tensor(rng.normal(size=(7, 3))))
         labels = rng.integers(0, 3, size=7)
-        loss = focal_loss(None, lp, labels, FocalParams(2.0, np.array([0.2, 1.0, 3.0])))
+        loss = focal(lp, labels, 2.0, np.array([0.2, 1.0, 3.0]))
         assert abs(loss.item() - loss.per_example.data.mean()) < 1e-12
         assert (loss.per_example.data >= 0.0).all()
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_tape_holds_softmax_and_one_loss_record(self, rng, kind):
+        spec = {"kind": kind, "alpha": [0.5, 1.0, 2.0], "gamma": 2.0}
+        tape = ad.Tape()
+        batch_loss(tape, ad.Parameter(rng.normal(size=(4, 3))), rng.integers(0, 3, size=4), spec)
+        assert len(tape) == 2
 
 
 class TestMonotonicity:
     def test_focal_decreases_as_p_true_rises(self):
         grid = np.linspace(0.01, 0.99, 50)
-        params = FocalParams(gamma=2.0, alpha=np.ones(2))
-        vals = [
-            focal_loss(None, logprob_rows([p]), np.array([0]), params).item()
-            for p in grid
-        ]
+        vals = [focal(logprob_rows([p]), np.array([0]), 2.0).item() for p in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_ce_decreases_as_p_true_rises(self):
         grid = np.linspace(0.01, 0.99, 50)
-        vals = [ce_loss(None, logprob_rows([p]), np.array([0])).item() for p in grid]
+        vals = [ce(logprob_rows([p]), np.array([0])).item() for p in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_focal_decreases_in_gamma_for_easy_examples(self):
         # confident correct predictions: a larger focusing exponent shrinks the loss
         for p in (0.5, 0.7, 0.9, 0.99):
             vals = [
-                focal_loss(
-                    None, logprob_rows([p]), np.array([0]), FocalParams(g, np.ones(2))
-                ).item()
+                focal(logprob_rows([p]), np.array([0]), g).item()
                 for g in (0.0, 0.5, 1.0, 2.0, 5.0)
             ]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_focusing_downweights_easy_relative_to_hard(self):
-        params = FocalParams(gamma=2.0, alpha=np.ones(2))
-        easy = focal_loss(None, logprob_rows([0.9]), np.array([0]), params).item()
-        hard = focal_loss(None, logprob_rows([0.1]), np.array([0]), params).item()
-        ce_easy = ce_loss(None, logprob_rows([0.9]), np.array([0])).item()
-        ce_hard = ce_loss(None, logprob_rows([0.1]), np.array([0])).item()
+        easy = focal(logprob_rows([0.9]), np.array([0]), 2.0).item()
+        hard = focal(logprob_rows([0.1]), np.array([0]), 2.0).item()
+        ce_easy = ce(logprob_rows([0.9]), np.array([0])).item()
+        ce_hard = ce(logprob_rows([0.1]), np.array([0])).item()
         assert hard / easy > ce_hard / ce_easy * 10.0
 
 
@@ -164,29 +198,33 @@ class TestValidation:
     def test_label_out_of_range(self, rng):
         lp = ad.softmax_logprob(None, ad.Tensor(rng.normal(size=(2, 3))))
         with pytest.raises(LabelError):
-            ce_loss(None, lp, np.array([0, 3]))
+            ce(lp, np.array([0, 3]))
         with pytest.raises(LabelError):
-            ce_loss(None, lp, np.array([-1, 0]))
+            ce(lp, np.array([-1, 0]))
 
     def test_label_batch_mismatch(self, rng):
         lp = ad.softmax_logprob(None, ad.Tensor(rng.normal(size=(2, 3))))
         with pytest.raises(LabelError):
-            ce_loss(None, lp, np.array([0, 1, 2]))
+            ce(lp, np.array([0, 1, 2]))
 
     def test_bad_focal_params(self, rng):
         lp = ad.softmax_logprob(None, ad.Tensor(rng.normal(size=(2, 3))))
         labels = np.array([0, 1])
         with pytest.raises(ConfigError):
-            focal_loss(None, lp, labels, FocalParams(-1.0, np.ones(3)))
+            focal(lp, labels, -1.0, np.ones(3))
         with pytest.raises(ConfigError):
-            focal_loss(None, lp, labels, FocalParams(2.0, np.ones(4)))
+            focal(lp, labels, 2.0, np.ones(4))
         with pytest.raises(ConfigError):
-            focal_loss(None, lp, labels, FocalParams(2.0, np.array([1.0, 0.0, 1.0])))
+            focal(lp, labels, 2.0, np.array([1.0, 0.0, 1.0]))
 
     def test_balanced_alpha_shape(self, rng):
-        lp = ad.softmax_logprob(None, ad.Tensor(rng.normal(size=(2, 3))))
+        logits = ad.Tensor(rng.normal(size=(2, 3)))
         with pytest.raises(ConfigError):
-            balanced_ce_loss(None, lp, np.array([0, 1]), np.ones(2))
+            batch_loss(None, logits, np.array([0, 1]), {"kind": "balanced", "alpha": [1.0, 1.0]})
+
+    def test_positive_logprob_rejected_when_focusing(self):
+        with pytest.raises(ShapeError):
+            focal(ad.Tensor(np.array([[0.1, -1.0]])), np.array([0]), 2.0)
 
 
 class TestGradients:
@@ -194,15 +232,15 @@ class TestGradients:
     def test_losses_match_finite_differences(self, rng, kind):
         logits = ad.Parameter(rng.normal(size=(4, 3)))
         labels = rng.integers(0, 3, size=4)
-        alpha = 0.2 + rng.random(3)
+        alpha = list(0.2 + rng.random(3))
+        spec = {
+            "ce": {"kind": "cce"},
+            "balanced": {"kind": "balanced", "alpha": alpha},
+            "focal": {"kind": "focal", "alpha": alpha, "gamma": 2.0},
+            "focal_fractional": {"kind": "focal", "alpha": alpha, "gamma": 1.5},
+        }[kind]
 
         def build(tape):
-            lp = ad.softmax_logprob(tape, logits)
-            if kind == "ce":
-                return ce_loss(tape, lp, labels).scalar
-            if kind == "balanced":
-                return balanced_ce_loss(tape, lp, labels, alpha).scalar
-            gamma = 1.5 if kind == "focal_fractional" else 2.0
-            return focal_loss(tape, lp, labels, FocalParams(gamma, alpha)).scalar
+            return batch_loss(tape, logits, labels, spec).scalar
 
         assert grad_check(build, [logits], rng, samples=6) < 1e-4

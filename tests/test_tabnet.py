@@ -1,16 +1,26 @@
 """Architecture invariants: masks, priors, sharing, explain, persistence."""
 
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from attentab import autodiff as ad
+from attentab.container import MODEL_MAGIC, read_container, write_container
 from attentab.data import RawTable, encode, fit_schema
-from attentab.errors import ConfigError, EncodingError, ModelStateError, PersistenceError
-from attentab.losses import ce_loss
+from attentab.errors import (
+    AttentabError,
+    ConfigError,
+    EncodingError,
+    ModelStateError,
+    PersistenceError,
+)
 from attentab.tabnet import (
+    EVAL_BATCH,
     AttentiveTransformer,
     FeatureTransformer,
     GLUBlock,
@@ -20,11 +30,14 @@ from attentab.tabnet import (
     load_model,
     save_model,
 )
+from attentab.train import batch_loss
 
 from helpers import grad_check
 from conftest import continuous_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
+COMMITTED_MODEL = (FIXTURES / "mini_model.attb").read_bytes()
+COMMITTED_HEADER_END = 13 + struct.unpack("<Q", COMMITTED_MODEL[5:13])[0]
 
 
 def mixed_dataset(n_rows=24, seed=0):
@@ -327,6 +340,32 @@ class TestExplain:
         assert report.feature_names == ["cat", "x0", "x1"]
         assert report.step_weights.shape == (ds.n_rows, 3)
 
+    def test_empty_input_rejected(self):
+        model, ds = self.fitted()
+        empty = ds.features[:0]
+        with pytest.raises(ConfigError, match="empty"):
+            model.explain(empty)
+        with pytest.raises(ConfigError, match="empty"):
+            model.predict_logits(empty)
+
+    def test_rows_beyond_one_chunk_match_separate_calls(self):
+        model, ds = self.fitted()
+        rng = np.random.default_rng(3)
+        n = EVAL_BATCH + 904
+        X = np.column_stack(
+            [rng.integers(0, 4, size=n).astype(float), rng.normal(size=(n, 2))]
+        )  # columns cat (3 codes + unseen), x0, x1
+        k = 1234
+        whole, head, tail = model.explain(X), model.explain(X[:k]), model.explain(X[k:])
+        pairs = list(zip(whole.per_step_masks, head.per_step_masks, tail.per_step_masks))
+        pairs += [
+            (whole.step_weights, head.step_weights, tail.step_weights),
+            (whole.instance_importance, head.instance_importance, tail.instance_importance),
+        ]
+        for got, a, b in pairs:
+            assert got.shape[0] == n
+            np.testing.assert_allclose(got, np.vstack([a, b]), rtol=0, atol=1e-12)
+
     def test_single_step_importance_is_the_mask(self):
         model, ds = self.fitted(n_steps=1)
         report = model.explain(ds.features)
@@ -396,6 +435,43 @@ class TestPersistence:
         with pytest.raises(PersistenceError):
             load_model(str(path))
 
+    @given(st.integers(0, len(COMMITTED_MODEL) - 1))
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_truncation_at_any_offset_is_a_persistence_error(self, tmp_path, cut):
+        path = tmp_path / "cut.attb"
+        path.write_bytes(COMMITTED_MODEL[:cut])
+        with pytest.raises(PersistenceError):
+            load_model(str(path))
+
+    @given(st.integers(0, 8 * COMMITTED_HEADER_END - 1))
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_header_bit_flip_loads_or_raises_a_typed_error(self, tmp_path, bit):
+        blob = bytearray(COMMITTED_MODEL)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path / "flip.attb"
+        path.write_bytes(bytes(blob))
+        try:
+            load_model(str(path))
+        except AttentabError:
+            pass
+
+    def test_mistyped_config_names_the_file(self, tmp_path):
+        model, _ = small_model()
+        path = str(tmp_path / "m.attb")
+        save_model(path, model)
+        header, arrays = read_container(path, MODEL_MAGIC)
+        header["config"]["n_dd"] = header["config"].pop("n_d")
+        del header["arrays"]
+        write_container(path, MODEL_MAGIC, header, list(arrays.items()))
+        with pytest.raises(PersistenceError, match="m.attb.*n_dd"):
+            load_model(path)
+
     def test_load_state_names_missing_arrays(self):
         model, _ = small_model()
         state = model.snapshot()
@@ -429,7 +505,7 @@ class TestEndToEndGradient:
 
         def build(tape):
             out = model.forward(tape, X, training=True)
-            lv = ce_loss(tape, ad.softmax_logprob(tape, out.logits), labels)
+            lv = batch_loss(tape, out.logits, labels, {"kind": "cce"})
             return ad.add(
                 tape, lv.scalar, ad.scale(tape, out.sparsity, cfg.lambda_sparse)
             )

@@ -9,7 +9,7 @@ from attentab import train as tr
 from attentab.autodiff import Adam, Parameter, Tensor, softmax_logprob
 from attentab.data import Split, stratified_split
 from attentab.errors import ConfigError, NumericsError, ShapeError
-from attentab.losses import FocalParams, focal_loss
+from attentab.losses import focal_nll
 from attentab.synthetic import dataset_from_arrays
 from attentab.tabnet import TabNetClassifier, TabNetConfig
 
@@ -192,7 +192,7 @@ class TestLossSpec:
         spec = {"kind": "focal", "alpha": [1.0, 2.0, 0.5], "gamma": 2.0}
         got = tr.batch_loss(None, logits, labels, spec)
         lp = softmax_logprob(None, logits)
-        want = focal_loss(None, lp, labels, FocalParams(2.0, np.array(spec["alpha"])))
+        want = focal_nll(None, lp, labels, np.array(spec["alpha"]), 2.0)
         assert got.per_example.data.tobytes() == want.per_example.data.tobytes()
         with pytest.raises(ConfigError):
             tr.batch_loss(None, logits, labels, {"kind": "hinge"})
