@@ -12,8 +12,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -33,6 +36,8 @@ KIND_CATEGORICAL = "categorical"
 KIND_CONTINUOUS = "continuous"
 KIND_TARGET = "target"
 KIND_DROP = "drop"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -58,9 +63,10 @@ def load_csv(path: str) -> RawTable:
     """Read an RFC 4180 CSV with a header row into a RawTable.
 
     Empty cells and the literals "NaN"/"nan" become missing. Ragged rows
-    raise an ingestion error naming the offending line. A leading UTF-8
-    byte-order mark (as spreadsheet exports write) is not part of the
-    first header name.
+    and repeated header names raise an ingestion error naming the offending
+    line or name. A leading UTF-8 byte-order mark (as spreadsheet exports
+    write) is not part of the first header name. Equal cell texts share one
+    ``str`` object.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
@@ -72,6 +78,10 @@ def load_csv(path: str) -> RawTable:
             header = next(reader)
         except StopIteration:
             raise IngestionError(f"{path}: file is empty, expected a header row") from None
+        repeated = [name for name, n in Counter(header).items() if n > 1]
+        if repeated:
+            raise IngestionError(f"{path}: header repeats column name(s) {repeated}")
+        canonical = dict.fromkeys(MISSING_TOKENS).setdefault
         rows: list[list[str | None]] = []
         for row in reader:
             if len(row) != len(header):
@@ -79,7 +89,7 @@ def load_csv(path: str) -> RawTable:
                     f"{path}: line {reader.line_num} has {len(row)} fields, "
                     f"expected {len(header)}"
                 )
-            rows.append([None if cell in MISSING_TOKENS else cell for cell in row])
+            rows.append(list(map(canonical, row, row)))
     return RawTable(columns=header, rows=rows)
 
 
@@ -87,25 +97,26 @@ def join_on_id(values: RawTable, labels: RawTable, key: str = "id") -> RawTable:
     """Inner-join a labels table onto a values table by a shared key column.
 
     Row order follows the values table; every value row must have exactly one
-    matching label row.
+    matching label row, and no other column may appear in both tables.
     """
     if key not in values.columns or key not in labels.columns:
         raise IngestionError(f"join key {key!r} must appear in both tables")
-    label_cols = [c for c in labels.columns if c != key]
     key_j = labels.columns.index(key)
+    label_cols = labels.columns[:key_j] + labels.columns[key_j + 1 :]
+    shared = [c for c in label_cols if c in values.columns]
+    if shared:
+        raise IngestionError(f"column(s) {shared} appear in both tables")
     by_key: dict[str | None, list[str | None]] = {}
     for row in labels.rows:
         k = row[key_j]
         if k in by_key:
             raise IngestionError(f"duplicate {key}={k!r} in labels table")
-        by_key[k] = [row[j] for j in range(len(row)) if j != key_j]
+        by_key[k] = row[:key_j] + row[key_j + 1 :]
     vkey_j = values.columns.index(key)
-    joined_rows = []
-    for row in values.rows:
-        k = row[vkey_j]
-        if k not in by_key:
-            raise IngestionError(f"{key}={k!r} has no matching label row")
-        joined_rows.append(list(row) + by_key[k])
+    try:
+        joined_rows = [row + by_key[row[vkey_j]] for row in values.rows]
+    except KeyError as exc:
+        raise IngestionError(f"{key}={exc.args[0]!r} has no matching label row") from None
     return RawTable(columns=values.columns + label_cols, rows=joined_rows)
 
 
@@ -205,37 +216,22 @@ def _looks_float_formatted(value: str) -> bool:
     return any(ch in value for ch in ".eE")
 
 
-def _parses_finite_float(value: str) -> bool:
-    try:
-        f = float(value)
-    except ValueError:
-        return False
-    return np.isfinite(f)
-
-
-def _infer_kind(values: list[str | None], distinct_threshold: int) -> str:
+def _infer_kind(distinct: Counter, distinct_threshold: int) -> str:
     """Continuous iff every present value parses as a finite float and the
     column either uses decimal/scientific notation somewhere or has more
-    distinct values than the threshold; categorical otherwise."""
-    present = [v for v in values if v is not None]
-    if not present:
+    distinct values than the threshold; categorical otherwise. Reads only
+    the keys of the column's present-value counts."""
+    try:
+        parsed = list(map(float, distinct))
+    except ValueError:
         return KIND_CATEGORICAL
-    if not all(_parses_finite_float(v) for v in present):
+    if not parsed or not all(map(math.isfinite, parsed)):
         return KIND_CATEGORICAL
-    if any(_looks_float_formatted(v) for v in present):
+    if any(map(_looks_float_formatted, distinct)):
         return KIND_CONTINUOUS
-    if len(set(present)) > distinct_threshold:
+    if len(distinct) > distinct_threshold:
         return KIND_CONTINUOUS
     return KIND_CATEGORICAL
-
-
-def _modal_value(present: list[str], order: list[str]) -> str:
-    counts = Counter(present)
-    best = max(counts.values())
-    for v in order:  # deterministic tie-break: first appearance wins
-        if counts[v] == best:
-            return v
-    raise AssertionError("unreachable")
 
 
 def fit_schema(
@@ -266,16 +262,16 @@ def fit_schema(
         raise SchemaError("cannot fit a schema on an empty table")
 
     columns: list[ColumnSchema] = []
-    for name in table.columns:
-        values = table.column(name)
-        n_missing = sum(1 for v in values if v is None)
+    for name, values in zip(table.columns, zip(*table.rows), strict=True):
+        counts = Counter(values)  # keys in order of first appearance
+        n_missing = counts.pop(None, 0)
         missing_fraction = n_missing / len(values)
-        present = [v for v in values if v is not None]
 
         if name == target_column:
             if n_missing:
                 raise SchemaError(f"target column {name!r} has {n_missing} missing values")
             columns.append(ColumnSchema(name=name, kind=KIND_TARGET))
+            observed_labels = sorted(counts)
             continue
         if name in id_columns:
             columns.append(
@@ -288,13 +284,9 @@ def fit_schema(
             )
             continue
 
-        kind = _infer_kind(values, continuous_distinct_threshold)
-        if not present:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "column %r has no observed values; dropping it", name
-            )
+        kind = _infer_kind(counts, continuous_distinct_threshold)
+        if not counts:
+            logger.warning("column %r has no observed values; dropping it", name)
             columns.append(
                 ColumnSchema(
                     name=name,
@@ -320,20 +312,13 @@ def fit_schema(
             )
             continue
 
-        first_seen: list[str] = []
-        seen = set()
-        for v in present:
-            if v not in seen:
-                seen.add(v)
-                first_seen.append(v)
-
         imputation = None
         if n_missing:
             if impute_strategy == "median" and kind == KIND_CONTINUOUS:
-                med = float(np.median([float(v) for v in present]))
+                med = float(np.median([float(v) for v in values if v is not None]))
                 imputation = repr(med)
             else:
-                imputation = _modal_value(present, first_seen)
+                imputation = max(counts, key=counts.__getitem__)  # ties: first appearance
 
         if kind == KIND_CONTINUOUS:
             columns.append(
@@ -345,7 +330,7 @@ def fit_schema(
                 )
             )
         else:
-            ordered = sorted(first_seen) if encode_order == "alphabetical" else first_seen
+            ordered = sorted(counts) if encode_order == "alphabetical" else counts
             encoding = {v: i for i, v in enumerate(ordered)}
             columns.append(
                 ColumnSchema(
@@ -358,7 +343,6 @@ def fit_schema(
                 )
             )
 
-    observed_labels = sorted(set(table.column(target_column)))  # type: ignore[arg-type]
     return FeatureSchema(
         columns=columns,
         target=target_column,
@@ -389,6 +373,19 @@ class EncodedDataset:
         return len(self.schema.labels)
 
 
+def _first_unparsable(name: str, texts) -> EncodingError:
+    """The error for the first text that is missing or not a number; texts
+    come in row order, so it names the same cell a per-row scan would."""
+    for text in texts:
+        if text is None:
+            return EncodingError(f"column {name!r}: missing value but no imputation fitted")
+        try:
+            float(text)
+        except ValueError:
+            return EncodingError(f"column {name!r}: cannot parse {text!r} as a number")
+    raise AssertionError("unreachable")
+
+
 def encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
     """Apply a fitted schema: impute, encode categoricals, map labels.
 
@@ -400,42 +397,36 @@ def encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
     features = np.empty((n, len(active)), dtype=np.float64)
     for j, col in enumerate(active):
         values = table.column(col.name)
-        out = features[:, j]
         if col.kind == KIND_CONTINUOUS:
-            for i, v in enumerate(values):
-                if v is None:
-                    v = col.imputation
-                    if v is None:
-                        raise EncodingError(
-                            f"column {col.name!r}: missing value but no imputation fitted"
-                        )
-                try:
-                    out[i] = float(v)
-                except ValueError:
-                    raise EncodingError(
-                        f"column {col.name!r}: cannot parse {v!r} as a number"
-                    ) from None
+            texts = dict(zip(values, values))  # distinct, in first-appearance order
+            if None in texts:
+                texts[None] = col.imputation
+            try:
+                lookup = dict(zip(texts, map(float, texts.values())))
+            except (TypeError, ValueError):
+                raise _first_unparsable(col.name, texts.values()) from None
+            mapped = map(lookup.__getitem__, values)
         else:
-            enc = col.encoding or {}
-            reserved = col.cardinality
-            for i, v in enumerate(values):
-                if v is None:
-                    v = col.imputation
-                    if v is None:
-                        raise EncodingError(
-                            f"column {col.name!r}: missing value but no imputation fitted"
-                        )
-                out[i] = enc.get(v, reserved)
+            lookup = dict(col.encoding or {})
+            if col.imputation is not None:
+                lookup[None] = lookup.get(col.imputation, col.cardinality)
+            elif None in values:
+                raise EncodingError(
+                    f"column {col.name!r}: missing value but no imputation fitted"
+                )
+            mapped = map(lookup.get, values, repeat(col.cardinality))
+        features[:, j] = np.fromiter(mapped, dtype=np.float64, count=n)
 
     if not np.all(np.isfinite(features)):
         raise EncodingError("non-finite values survived encoding")
 
     label_to_code = {name: i for i, name in enumerate(schema.labels)}
-    labels = np.empty(n, dtype=np.int64)
-    for i, v in enumerate(table.column(schema.target)):
-        if v is None or v not in label_to_code:
-            raise LabelError(f"unknown label {v!r} at row {i}")
-        labels[i] = label_to_code[v]
+    targets = table.column(schema.target)
+    codes = list(map(label_to_code.get, targets))
+    if None in codes:
+        i = codes.index(None)
+        raise LabelError(f"unknown label {targets[i]!r} at row {i}")
+    labels = np.array(codes, dtype=np.int64)
     class_counts = np.bincount(labels, minlength=len(schema.labels)).astype(np.int64)
     return EncodedDataset(
         features=features, labels=labels, class_counts=class_counts, schema=schema

@@ -426,14 +426,19 @@ class TabNetClassifier:
         sparsity = scale(tape, entropy_sum, -1.0 / (cfg.n_steps * B))
         return ForwardOutput(logits=logits, masks=masks, decisions=decisions, sparsity=sparsity)
 
-    def _eval_chunks(self, X: np.ndarray, batch_size: int = EVAL_BATCH):
-        """Eval-mode forwards over bounded-memory row chunks: yields
-        (row slice, ForwardOutput) pairs."""
-        if X.shape[0] == 0:
+    def _eval_chunks(
+        self, X: np.ndarray, batch_size: int = EVAL_BATCH, indices: np.ndarray | None = None
+    ):
+        """Eval-mode forwards over bounded-memory row chunks of ``X``, or of
+        ``X[indices]`` gathered one chunk at a time: yields (output slice,
+        ForwardOutput) pairs."""
+        n = X.shape[0] if indices is None else len(indices)
+        if n == 0:
             raise ConfigError("cannot score an empty row set")
-        for start in range(0, X.shape[0], batch_size):
+        for start in range(0, n, batch_size):
             rows = slice(start, start + batch_size)
-            yield rows, self.forward(None, X[rows], training=False)
+            chunk = X[rows] if indices is None else X[indices[rows]]
+            yield rows, self.forward(None, chunk, training=False)
 
     def predict_logits(self, X: np.ndarray, batch_size: int = EVAL_BATCH) -> np.ndarray:
         """Eval-mode logits, computed in bounded-memory chunks."""

@@ -264,15 +264,13 @@ def evaluate(
     indices = np.asarray(indices)
     if indices.size == 0:
         raise ConfigError("cannot evaluate an empty index set")
+    labels = dataset.labels[indices]
     loss_sum = 0.0
     preds = np.empty(indices.size, dtype=np.int64)
-    for start in range(0, indices.size, EVAL_BATCH):
-        rows = indices[start : start + EVAL_BATCH]
-        out = model.forward(None, dataset.features[rows], training=False)
-        lv = batch_loss(None, out.logits, dataset.labels[rows], loss_spec)
+    for rows, out in model._eval_chunks(dataset.features, EVAL_BATCH, indices):
+        lv = batch_loss(None, out.logits, labels[rows], loss_spec)
         loss_sum += float(np.sum(lv.per_example.data))
-        preds[start : start + rows.size] = np.argmax(out.logits.data, axis=1)
-    labels = dataset.labels[indices]
+        preds[rows] = np.argmax(out.logits.data, axis=1)
     return (
         loss_sum / indices.size,
         accuracy(preds, labels),

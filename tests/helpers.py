@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from attentab.autodiff import Parameter, Tape
+from attentab.data import (
+    KIND_CATEGORICAL,
+    KIND_CONTINUOUS,
+    KIND_DROP,
+    KIND_TARGET,
+    ColumnSchema,
+    EncodedDataset,
+    FeatureSchema,
+    RawTable,
+)
+from attentab.errors import ConfigError, EncodingError, LabelError, SchemaError
 
 FD_H = 1e-5
 REL_FLOOR = 1e-6
@@ -216,3 +229,233 @@ def op_fd_cases(rng):
 
     return cases
 
+
+
+# ------------------------------------------- per-cell preprocessing reference
+#
+# The per-cell `fit_schema`/`encode` that the hash-per-column versions in
+# `attentab.data` replaced, kept verbatim as the equivalence oracle: both must
+# produce the same schema JSON and byte-equal arrays, and raise the same error
+# class and message, on every input.
+
+def _looks_float_formatted(value: str) -> bool:
+    return any(ch in value for ch in ".eE")
+
+
+def _parses_finite_float(value: str) -> bool:
+    try:
+        f = float(value)
+    except ValueError:
+        return False
+    return np.isfinite(f)
+
+
+def _infer_kind(values: list[str | None], distinct_threshold: int) -> str:
+    """Continuous iff every present value parses as a finite float and the
+    column either uses decimal/scientific notation somewhere or has more
+    distinct values than the threshold; categorical otherwise."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return KIND_CATEGORICAL
+    if not all(_parses_finite_float(v) for v in present):
+        return KIND_CATEGORICAL
+    if any(_looks_float_formatted(v) for v in present):
+        return KIND_CONTINUOUS
+    if len(set(present)) > distinct_threshold:
+        return KIND_CONTINUOUS
+    return KIND_CATEGORICAL
+
+
+def _modal_value(present: list[str], order: list[str]) -> str:
+    counts = Counter(present)
+    best = max(counts.values())
+    for v in order:  # deterministic tie-break: first appearance wins
+        if counts[v] == best:
+            return v
+    raise AssertionError("unreachable")
+
+
+def reference_fit_schema(
+    table: RawTable,
+    target_column: str,
+    drop_threshold: float = 0.5,
+    *,
+    encode_order: str = "first-appearance",
+    impute_strategy: str = "mode",
+    id_columns: tuple[str, ...] = ("id",),
+    continuous_distinct_threshold: int = 100,
+) -> FeatureSchema:
+    """Fit per-column metadata from a training table.
+
+    Columns whose missing fraction exceeds ``drop_threshold`` are dropped.
+    Remaining columns with missing values get an imputation value: the modal
+    value under the ``mode`` strategy, or the median (continuous columns
+    only) under ``median``. Categorical encodings are assigned by first
+    appearance, or alphabetically when ``encode_order="alphabetical"``.
+    """
+    if target_column not in table.columns:
+        raise SchemaError(f"target column {target_column!r} not found in table")
+    if encode_order not in ("first-appearance", "alphabetical"):
+        raise ConfigError(f"unknown encode_order {encode_order!r}")
+    if impute_strategy not in ("mode", "median"):
+        raise ConfigError(f"unknown impute_strategy {impute_strategy!r}")
+    if table.n_rows == 0:
+        raise SchemaError("cannot fit a schema on an empty table")
+
+    columns: list[ColumnSchema] = []
+    for name in table.columns:
+        values = table.column(name)
+        n_missing = sum(1 for v in values if v is None)
+        missing_fraction = n_missing / len(values)
+        present = [v for v in values if v is not None]
+
+        if name == target_column:
+            if n_missing:
+                raise SchemaError(f"target column {name!r} has {n_missing} missing values")
+            columns.append(ColumnSchema(name=name, kind=KIND_TARGET))
+            continue
+        if name in id_columns:
+            columns.append(
+                ColumnSchema(
+                    name=name,
+                    kind=KIND_DROP,
+                    missing_fraction=missing_fraction,
+                    drop_reason="identifier column",
+                )
+            )
+            continue
+
+        kind = _infer_kind(values, continuous_distinct_threshold)
+        if not present:
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "column %r has no observed values; dropping it", name
+            )
+            columns.append(
+                ColumnSchema(
+                    name=name,
+                    kind=KIND_DROP,
+                    missing_fraction=1.0,
+                    drop_reason="all values missing",
+                    inferred_kind=kind,
+                )
+            )
+            continue
+        if missing_fraction > drop_threshold:
+            columns.append(
+                ColumnSchema(
+                    name=name,
+                    kind=KIND_DROP,
+                    missing_fraction=missing_fraction,
+                    drop_reason=(
+                        f"missing fraction {missing_fraction:.4f} exceeds "
+                        f"threshold {drop_threshold}"
+                    ),
+                    inferred_kind=kind,
+                )
+            )
+            continue
+
+        first_seen: list[str] = []
+        seen = set()
+        for v in present:
+            if v not in seen:
+                seen.add(v)
+                first_seen.append(v)
+
+        imputation = None
+        if n_missing:
+            if impute_strategy == "median" and kind == KIND_CONTINUOUS:
+                med = float(np.median([float(v) for v in present]))
+                imputation = repr(med)
+            else:
+                imputation = _modal_value(present, first_seen)
+
+        if kind == KIND_CONTINUOUS:
+            columns.append(
+                ColumnSchema(
+                    name=name,
+                    kind=kind,
+                    imputation=imputation,
+                    missing_fraction=missing_fraction,
+                )
+            )
+        else:
+            ordered = sorted(first_seen) if encode_order == "alphabetical" else first_seen
+            encoding = {v: i for i, v in enumerate(ordered)}
+            columns.append(
+                ColumnSchema(
+                    name=name,
+                    kind=kind,
+                    cardinality=len(encoding),
+                    encoding=encoding,
+                    imputation=imputation,
+                    missing_fraction=missing_fraction,
+                )
+            )
+
+    observed_labels = sorted(set(table.column(target_column)))  # type: ignore[arg-type]
+    return FeatureSchema(
+        columns=columns,
+        target=target_column,
+        labels=observed_labels,
+        drop_threshold=drop_threshold,
+        encode_order=encode_order,
+        impute_strategy=impute_strategy,
+        id_columns=list(id_columns),
+        continuous_distinct_threshold=continuous_distinct_threshold,
+    )
+
+
+def reference_encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
+    """Apply a fitted schema: impute, encode categoricals, map labels.
+
+    Unseen categorical values map to a reserved code equal to the fitted
+    cardinality. No missing values survive (asserted by construction).
+    """
+    active = schema.feature_columns()
+    n = table.n_rows
+    features = np.empty((n, len(active)), dtype=np.float64)
+    for j, col in enumerate(active):
+        values = table.column(col.name)
+        out = features[:, j]
+        if col.kind == KIND_CONTINUOUS:
+            for i, v in enumerate(values):
+                if v is None:
+                    v = col.imputation
+                    if v is None:
+                        raise EncodingError(
+                            f"column {col.name!r}: missing value but no imputation fitted"
+                        )
+                try:
+                    out[i] = float(v)
+                except ValueError:
+                    raise EncodingError(
+                        f"column {col.name!r}: cannot parse {v!r} as a number"
+                    ) from None
+        else:
+            enc = col.encoding or {}
+            reserved = col.cardinality
+            for i, v in enumerate(values):
+                if v is None:
+                    v = col.imputation
+                    if v is None:
+                        raise EncodingError(
+                            f"column {col.name!r}: missing value but no imputation fitted"
+                        )
+                out[i] = enc.get(v, reserved)
+
+    if not np.all(np.isfinite(features)):
+        raise EncodingError("non-finite values survived encoding")
+
+    label_to_code = {name: i for i, name in enumerate(schema.labels)}
+    labels = np.empty(n, dtype=np.int64)
+    for i, v in enumerate(table.column(schema.target)):
+        if v is None or v not in label_to_code:
+            raise LabelError(f"unknown label {v!r} at row {i}")
+        labels[i] = label_to_code[v]
+    class_counts = np.bincount(labels, minlength=len(schema.labels)).astype(np.int64)
+    return EncodedDataset(
+        features=features, labels=labels, class_counts=class_counts, schema=schema
+    )

@@ -1,16 +1,23 @@
 """CSV ingestion, schema fitting, encoding, splitting, dataset persistence."""
 
+import csv
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import reference_encode, reference_fit_schema
 
 from attentab.container import DATASET_MAGIC, read_container, write_container
 from attentab.data import (
     KIND_CATEGORICAL,
     KIND_CONTINUOUS,
     KIND_DROP,
+    MISSING_TOKENS,
     EncodedDataset,
     FeatureSchema,
     RawTable,
@@ -24,6 +31,7 @@ from attentab.data import (
     stratified_split,
 )
 from attentab.errors import (
+    AttentabError,
     ConfigError,
     EncodingError,
     IngestionError,
@@ -32,6 +40,12 @@ from attentab.errors import (
     SchemaError,
     SplitError,
 )
+
+
+# numeric edge texts: whitespace, underscores, non-finite, overflow, signed zero
+CELL_TEXTS = [
+    "a", "b", "c", "1", "2", "10", "0.5", "2.5", " 2 ", "1_0", "inf", "NAN", "1e400", "-0.0", "0",
+]
 
 
 def write(path, text):
@@ -83,6 +97,32 @@ class TestLoadCsv:
         assert joined.columns == ["id", "place", "status"]
         assert joined.rows == [["1", "north", "good"], ["2", "south", "bad"]]
 
+    def test_repeated_header_name_rejected(self, tmp_path):
+        path = write(tmp_path / "t.csv", "id,a,a,b\n1,x,1.5,y\n2,z,6.5,y\n")
+        with pytest.raises(IngestionError, match="'a'"):
+            load_csv(path)
+
+    def test_equal_texts_share_one_object(self, tmp_path):
+        path = write(tmp_path / "t.csv", "a,b\nnorth,north\nnorth,NaN\n")
+        t = load_csv(path)
+        assert t.rows == [["north", "north"], ["north", None]]
+        assert t.rows[0][0] is t.rows[0][1] is t.rows[1][0]
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(CELL_TEXTS + sorted(MISSING_TOKENS)), min_size=3, max_size=3),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cells_match_the_per_cell_rule(self, grid):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([["a", "b", "c"]] + grid)
+            t = load_csv(str(path))
+        assert t.rows == [[None if c in MISSING_TOKENS else c for c in row] for row in grid]
+
 
 class TestJoin:
     def test_join_follows_values_order(self):
@@ -107,6 +147,12 @@ class TestJoin:
     def test_missing_key_column(self):
         with pytest.raises(IngestionError, match="join key"):
             join_on_id(table(["a"], []), table(["id"], []))
+
+    def test_column_in_both_tables_rejected(self):
+        values = table(["id", "x", "status"], [["1", "a", "old"]])
+        labels = table(["status", "id"], [["new", "1"]])
+        with pytest.raises(IngestionError, match="'status'"):
+            join_on_id(values, labels)
 
 
 class TestKindInference:
@@ -292,6 +338,74 @@ class TestEncode:
             assert c.decode(code) == value
         with pytest.raises(EncodingError):
             c.decode(99)
+
+
+@st.composite
+def fit_cases(draw):
+    """A small id/features/label table, fit options, and a second table to
+    encode with the fitted schema (unseen categories, unseen labels, texts
+    a continuous column cannot parse, missing cells without imputation)."""
+    n_cols = draw(st.integers(1, 4))
+    pools = [
+        draw(st.lists(st.sampled_from(CELL_TEXTS), min_size=1, max_size=4, unique=True))
+        for _ in range(n_cols)
+    ]
+
+    def rows(n, extra, labels):
+        cells = [st.sampled_from(pool + [None] + extra) for pool in pools]
+        return [
+            [str(i)] + [draw(c) for c in cells] + [draw(st.sampled_from(labels))]
+            for i in range(n)
+        ]
+
+    columns = ["id"] + [f"c{j}" for j in range(n_cols)] + ["label"]
+    fit_labels = ["x", "y", "z"] if draw(st.integers(0, 9)) else ["x", "y", None]
+    fit_rows = rows(draw(st.integers(1, 10)), [], fit_labels)
+    unseen = draw(st.lists(st.sampled_from(CELL_TEXTS), max_size=2))
+    encode_labels = ["x", "y", "z"] + (["w"] if draw(st.booleans()) else [])
+    encode_rows = rows(draw(st.integers(1, 10)), unseen, encode_labels)
+    options = {
+        "drop_threshold": draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        "encode_order": draw(st.sampled_from(["first-appearance", "alphabetical"])),
+        "impute_strategy": draw(st.sampled_from(["mode", "median"])),
+        "continuous_distinct_threshold": draw(st.sampled_from([0, 1, 2, 3, 100])),
+    }
+    return table(columns, fit_rows), options, table(columns, encode_rows)
+
+
+def outcome(fn, *args, **kw):
+    """The result, or the (class, message) of the typed error raised."""
+    try:
+        return fn(*args, **kw)
+    except AttentabError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, want):
+    """Equal (class, message) errors, or equal schema JSON and byte-equal arrays."""
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+    elif isinstance(want, FeatureSchema):
+        assert got.to_json() == want.to_json()
+    else:
+        assert_same(got.schema, want.schema)
+        for name in ("features", "labels", "class_counts"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+class TestMatchesPerCellReference:
+    """fit_schema and encode against the per-cell code they replaced."""
+
+    @given(fit_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_same_schema_arrays_and_errors(self, case):
+        fit_table, options, encode_table = case
+        got = outcome(fit_schema, fit_table, "label", **options)
+        want = outcome(reference_fit_schema, fit_table, "label", **options)
+        assert_same(got, want)
+        if isinstance(want, FeatureSchema):
+            for t in (fit_table, encode_table):
+                assert_same(outcome(encode, t, got), outcome(reference_encode, t, want))
 
 
 class TestSchemaPersistence:

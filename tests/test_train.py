@@ -220,6 +220,29 @@ class TestEvaluate:
         assert whole[1:] == chunked[1:]
         assert abs(whole[0] - chunked[0]) < 1e-12
 
+    def test_chunks_follow_the_index_order(self, monkeypatch):
+        # loss sums and predictions over EVAL_BATCH-row runs of `indices`,
+        # in their given order, exactly as a per-chunk loop computes them
+        model, ds = self.setup_model()
+        idx = np.random.default_rng(3).permutation(ds.n_rows)[:-5]
+        spec = {"kind": "focal", "alpha": [1.0, 2.0], "gamma": 2.0}
+        monkeypatch.setattr(tr, "EVAL_BATCH", 7)
+        loss_sum, preds = 0.0, []
+        for start in range(0, idx.size, 7):
+            rows = idx[start : start + 7]
+            out = model.forward(None, ds.features[rows], training=False)
+            lv = tr.batch_loss(None, out.logits, ds.labels[rows], spec)
+            loss_sum += float(np.sum(lv.per_example.data))
+            preds.append(np.argmax(out.logits.data, axis=1))
+        preds = np.concatenate(preds)
+        labels = ds.labels[idx]
+        want = (
+            loss_sum / idx.size,
+            tr.accuracy(preds, labels),
+            tr.macro_f1(preds, labels, model.n_classes, average="macro"),
+        )
+        assert tr.evaluate(model, ds, idx, spec) == want
+
     def test_loss_is_task_only(self):
         # lambda_sparse > 0 must not leak into the monitored loss
         ds = separable_dataset()
