@@ -38,9 +38,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -48,12 +45,11 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable leaf: holds its value, an accumulated gradient, and a name."""
 
-    __slots__ = ("grad", "trainable", "name")
+    __slots__ = ("grad", "name")
 
-    def __init__(self, data, name: str = "", trainable: bool = True):
+    def __init__(self, data, name: str = ""):
         super().__init__(data)
         self.grad = np.zeros_like(self.data)
-        self.trainable = trainable
         self.name = name
 
     def zero_grad(self) -> None:
@@ -136,7 +132,7 @@ class Tape:
                 held = grads.get(id(node))
                 grads[id(node)] = (node, g if held is None else held[1] + g)
         for node, g in grads.values():
-            if isinstance(node, Parameter) and node.trainable:
+            if isinstance(node, Parameter):
                 node.grad += g
 
 
@@ -190,7 +186,11 @@ def glu(tape: Tape | None, x: Tensor) -> Tensor:
         raise ShapeError(f"glu: last dimension must be even, got shape {x.shape}")
     half = xd.shape[1] // 2
     a, gate = xd[:, :half], xd[:, half:]
-    sig = 1.0 / (1.0 + np.exp(-gate))
+    # exp(-gate) overflows to inf for gates below about -709; 1 / (1 + inf)
+    # is then 0.0, within 1e-307 of the true sigmoid, so the overflow is
+    # expected and its warning would only read like a numeric failure
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-gate))
     out = Tensor(a * sig)
     if tape is not None:
         def bwd(g):

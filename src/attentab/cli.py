@@ -1,8 +1,10 @@
 """Command-line surface: preprocess, train, evaluate, explain, inspect.
 
-One JSON config file can drive a whole run; every flag overrides its config
-key (flags > file > defaults). Exit codes: 0 success, 2 usage/config/data
-errors, 3 numeric failure during training.
+One JSON config file can drive a whole run. A flag's argparse dest is its
+config key, and each setting resolves the same way: the flag, else the file's
+value, else the default declared by the dataclass or function it is passed to
+(flags > file > defaults). Exit codes: 0 success, 2 usage/config/data errors,
+3 numeric failure during training.
 
 This module must not import numpy at module scope: ATTENTAB_THREADS has to
 land in the BLAS thread-count environment variables before numpy loads.
@@ -14,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import dataclass, fields
 
 from .errors import AttentabError, ConfigError, NumericsError
 
@@ -25,27 +27,20 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-DATA_KEYS = {
-    "values_csv",
-    "labels_csv",
-    "target",
-    "id_column",
-    "drop_threshold",
-    "encode_order",
-    "impute_strategy",
-    "continuous_distinct_threshold",
-}
-PATH_KEYS = {"schema", "dataset", "model", "history", "metrics"}
+# data keys that cmd_preprocess reads itself; the rest of the section are
+# fit_schema's options
+_PREPROCESS_KEYS = ("values_csv", "labels_csv", "target", "id_column")
 
-DEFAULT_PATHS = {
-    "schema": "schema.json",
-    "dataset": "dataset.attd",
-    "model": "model.attb",
-    "history": "history.csv",
-    "metrics": "metrics.json",
-}
 
-SECTIONS = ("data", "model", "train", "paths")
+@dataclass
+class Paths:
+    """Files a command reads and writes: the ``paths`` config section."""
+
+    schema: str = "schema.json"
+    dataset: str = "dataset.attd"
+    model: str = "model.attb"
+    history: str = "history.csv"
+    metrics: str = "metrics.json"
 
 
 def _apply_thread_env() -> None:
@@ -60,6 +55,28 @@ def _apply_thread_env() -> None:
         raise ConfigError(f"ATTENTAB_THREADS must be a positive integer, got {raw!r}") from None
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(n)
+
+
+def _section_keys() -> dict[str, tuple[str, ...]]:
+    """Allowed keys per config section, read off what each section is
+    passed to: the config dataclasses' fields and fit_schema's options."""
+    import inspect
+
+    from .data import fit_schema
+    from .tabnet import TabNetConfig
+    from .train import TrainConfig
+
+    options = tuple(
+        name
+        for name, p in inspect.signature(fit_schema).parameters.items()
+        if p.default is not p.empty and name != "id_columns"
+    )
+    return {
+        "data": _PREPROCESS_KEYS + options,
+        "model": tuple(f.name for f in fields(TabNetConfig)),
+        "train": tuple(f.name for f in fields(TrainConfig)),
+        "paths": tuple(f.name for f in fields(Paths)),
+    }
 
 
 def load_config_file(path: str | None) -> dict:
@@ -77,78 +94,37 @@ def load_config_file(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
 
-    from .tabnet import TabNetConfig
-    from .train import TrainConfig
-    import dataclasses
-
-    allowed = {
-        "data": DATA_KEYS,
-        "model": {f.name for f in dataclasses.fields(TabNetConfig)},
-        "train": {f.name for f in dataclasses.fields(TrainConfig)},
-        "paths": PATH_KEYS,
-    }
+    allowed = _section_keys()
     for section, body in raw.items():
-        if section not in SECTIONS:
+        if section not in allowed:
             raise ConfigError(f"unknown config key {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        for key in body:
+        for key, value in body.items():
             if key not in allowed[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
+            # file names and column names; a number here would reach open()
+            # as a file descriptor
+            named = section == "paths" or key in _PREPROCESS_KEYS
+            if named and value is not None and not isinstance(value, str):
+                raise ConfigError(f"config key {section}.{key} must be a string, got {value!r}")
     return raw
 
 
-def _merged(defaults: dict, file_section: dict, overrides: dict) -> dict:
-    out = dict(defaults)
-    out.update(file_section)
-    out.update({k: v for k, v in overrides.items() if v is not None})
+def _settings(args, cfg: dict, section: str) -> dict:
+    """The section's explicitly set values: each key's flag when given, else
+    its config-file value (a flag's dest is its config key). Unset keys, and
+    keys set to null, are left out, so each default is the one declared by
+    the dataclass or function the values are passed to."""
+    file_values = cfg.get(section, {})
+    out = {}
+    for key in _section_keys()[section]:
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_values.get(key)
+        if value is not None:
+            out[key] = value
     return out
-
-
-def _build_model_config(cfg: dict, args):
-    from .tabnet import TabNetConfig
-
-    overrides = {
-        "n_d": getattr(args, "n_d", None),
-        "n_a": getattr(args, "n_a", None),
-        "n_steps": getattr(args, "n_steps", None),
-        "gamma_relax": getattr(args, "gamma_relax", None),
-        "lambda_sparse": getattr(args, "lambda_sparse", None),
-        "embed_dims": getattr(args, "embed_dim", None),
-        "virtual_batch": getattr(args, "virtual_batch", None),
-        "seed": getattr(args, "seed", None),
-    }
-    model_cfg = TabNetConfig(**_merged(asdict(TabNetConfig()), cfg.get("model", {}), overrides))
-    model_cfg.validate()
-    return model_cfg
-
-
-def _build_train_config(cfg: dict, args):
-    from .train import TrainConfig
-
-    overrides = {
-        "loss_kind": getattr(args, "loss", None),
-        "focal_gamma": getattr(args, "gamma", None),
-        "alpha_mode": getattr(args, "alpha", None),
-        "max_epochs": getattr(args, "max_epochs", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "learning_rate": getattr(args, "lr", None),
-        "patience": getattr(args, "patience", None),
-        "min_delta": getattr(args, "min_delta", None),
-        "val_fraction": getattr(args, "val_fraction", None),
-        "f1_average": getattr(args, "f1_average", None),
-        "seed": getattr(args, "seed", None),
-    }
-    train_cfg = TrainConfig(**_merged(asdict(TrainConfig()), cfg.get("train", {}), overrides))
-    train_cfg.validate()
-    return train_cfg
-
-
-def _path(cfg: dict, args, flag: str, key: str) -> str:
-    v = getattr(args, flag, None)
-    if v is not None:
-        return v
-    return cfg.get("paths", {}).get(key, DEFAULT_PATHS[key])
 
 
 # ---------------------------------------------------------------- commands
@@ -157,16 +133,17 @@ def _path(cfg: dict, args, flag: str, key: str) -> str:
 def cmd_preprocess(args, cfg: dict) -> int:
     from . import data as data_mod
 
-    section = cfg.get("data", {})
-    values_path = args.values or section.get("values_csv")
-    labels_path = args.labels or section.get("labels_csv")
+    options = _settings(args, cfg, "data")
+    values_path = options.pop("values_csv", None)
+    labels_path = options.pop("labels_csv", None)
     if not values_path or not labels_path:
         raise ConfigError("preprocess needs --values and --labels (or data.values_csv/labels_csv)")
-    id_column = args.id_column or section.get("id_column", "id")
+    target = options.pop("target", None)
+    # the one default kept here: target inference needs it too
+    id_column = options.pop("id_column", "id")
 
     values = data_mod.load_csv(values_path)
     labels = data_mod.load_csv(labels_path)
-    target = args.target or section.get("target")
     if target is None:
         candidates = [c for c in labels.columns if c != id_column]
         if len(candidates) != 1:
@@ -176,27 +153,14 @@ def cmd_preprocess(args, cfg: dict) -> int:
         target = candidates[0]
 
     table = data_mod.join_on_id(values, labels, key=id_column)
-    schema = data_mod.fit_schema(
-        table,
-        target,
-        args.drop_threshold if args.drop_threshold is not None else section.get("drop_threshold", 0.5),
-        encode_order=args.encode_order or section.get("encode_order", "first-appearance"),
-        impute_strategy=args.impute_strategy or section.get("impute_strategy", "mode"),
-        id_columns=(id_column,),
-        continuous_distinct_threshold=(
-            args.distinct_threshold
-            if args.distinct_threshold is not None
-            else section.get("continuous_distinct_threshold", 100)
-        ),
-    )
+    schema = data_mod.fit_schema(table, target, id_columns=(id_column,), **options)
     dataset = data_mod.encode(table, schema)
 
-    out_schema = _path(cfg, args, "out_schema", "schema")
-    out_dataset = _path(cfg, args, "out_dataset", "dataset")
-    schema.save(out_schema)
-    data_mod.save_dataset(out_dataset, dataset)
+    paths = Paths(**_settings(args, cfg, "paths"))
+    schema.save(paths.schema)
+    data_mod.save_dataset(paths.dataset, dataset)
     print(data_mod.inspect(dataset))
-    print(f"\nschema -> {out_schema}\ndataset -> {out_dataset}")
+    print(f"\nschema -> {paths.schema}\ndataset -> {paths.dataset}")
     return 0
 
 
@@ -214,23 +178,23 @@ def cmd_train(args, cfg: dict) -> int:
     from . import train as train_mod
     from .container import atomic_write_text
 
-    dataset = data_mod.load_dataset(_path(cfg, args, "dataset", "dataset"))
-    model_cfg = _build_model_config(cfg, args)
-    train_cfg = _build_train_config(cfg, args)
+    model_cfg = tabnet_mod.TabNetConfig(**_settings(args, cfg, "model"))
+    model_cfg.validate()
+    train_cfg = train_mod.TrainConfig(**_settings(args, cfg, "train"))
+    train_cfg.validate()
+    paths = Paths(**_settings(args, cfg, "paths"))
+    dataset = data_mod.load_dataset(paths.dataset)
 
     split = data_mod.stratified_split(dataset, train_cfg.val_fraction, train_cfg.seed)
     model = tabnet_mod.TabNetClassifier(model_cfg, dataset.schema)
     report = train_mod.fit(model, dataset, split, train_cfg, log_fn=_log_record)
 
-    out_model = _path(cfg, args, "out_model", "model")
-    out_history = _path(cfg, args, "out_history", "history")
-    out_metrics = _path(cfg, args, "out_metrics", "metrics")
-    tabnet_mod.save_model(out_model, model)
-    report.save_history(out_history)
+    tabnet_mod.save_model(paths.model, model)
+    report.save_history(paths.history)
     metrics = report.metrics_dict()
-    atomic_write_text(out_metrics, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(paths.metrics, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     print(json.dumps(metrics, sort_keys=True))
-    print(f"model -> {out_model}\nhistory -> {out_history}\nmetrics -> {out_metrics}")
+    print(f"model -> {paths.model}\nhistory -> {paths.history}\nmetrics -> {paths.metrics}")
     return 0
 
 
@@ -238,8 +202,9 @@ def _load_pair(args, cfg: dict):
     from . import data as data_mod
     from . import tabnet as tabnet_mod
 
-    model = tabnet_mod.load_model(_path(cfg, args, "model", "model"))
-    dataset = data_mod.load_dataset(_path(cfg, args, "dataset", "dataset"))
+    paths = Paths(**_settings(args, cfg, "paths"))
+    model = tabnet_mod.load_model(paths.model)
+    dataset = data_mod.load_dataset(paths.dataset)
     if model.schema.hash() != dataset.schema.hash():
         raise ConfigError(
             "model and dataset were built from different schemas "
@@ -310,7 +275,7 @@ def cmd_explain(args, cfg: dict) -> int:
 def cmd_inspect(args, cfg: dict) -> int:
     from . import data as data_mod
 
-    dataset = data_mod.load_dataset(_path(cfg, args, "dataset", "dataset"))
+    dataset = data_mod.load_dataset(Paths(**_settings(args, cfg, "paths")).dataset)
     print(data_mod.inspect(dataset))
     return 0
 
@@ -327,29 +292,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     pre = sub.add_parser("preprocess", help="fit a schema and encode CSVs into a dataset container")
     pre.add_argument("--config")
-    pre.add_argument("--values", help="values CSV path")
-    pre.add_argument("--labels", help="labels CSV path")
+    pre.add_argument("--values", dest="values_csv", metavar="VALUES", help="values CSV path")
+    pre.add_argument("--labels", dest="labels_csv", metavar="LABELS", help="labels CSV path")
     pre.add_argument("--target", help="label column name (inferred from labels CSV when unambiguous)")
     pre.add_argument("--id-column", dest="id_column")
     pre.add_argument("--drop-threshold", dest="drop_threshold", type=float)
     pre.add_argument("--encode-order", dest="encode_order", choices=["first-appearance", "alphabetical"])
     pre.add_argument("--impute-strategy", dest="impute_strategy", choices=["mode", "median"])
-    pre.add_argument("--distinct-threshold", dest="distinct_threshold", type=int)
-    pre.add_argument("--out-schema", dest="out_schema")
-    pre.add_argument("--out-dataset", dest="out_dataset")
+    pre.add_argument(
+        "--distinct-threshold", dest="continuous_distinct_threshold", metavar="DISTINCT_THRESHOLD",
+        type=int,
+    )
+    pre.add_argument("--out-schema", dest="schema", metavar="OUT_SCHEMA")
+    pre.add_argument("--out-dataset", dest="dataset", metavar="OUT_DATASET")
 
     tr = sub.add_parser("train", help="train a model on an encoded dataset")
     tr.add_argument("--config")
     tr.add_argument("--dataset")
-    tr.add_argument("--out-model", dest="out_model")
-    tr.add_argument("--out-history", dest="out_history")
-    tr.add_argument("--out-metrics", dest="out_metrics")
-    tr.add_argument("--loss", choices=["cce", "balanced", "focal"])
-    tr.add_argument("--gamma", type=float, help="focal focusing exponent")
-    tr.add_argument("--alpha", choices=["auto", "uniform"], help="class-weight mode")
+    tr.add_argument("--out-model", dest="model", metavar="OUT_MODEL")
+    tr.add_argument("--out-history", dest="history", metavar="OUT_HISTORY")
+    tr.add_argument("--out-metrics", dest="metrics", metavar="OUT_METRICS")
+    tr.add_argument("--loss", dest="loss_kind", choices=["cce", "balanced", "focal"])
+    tr.add_argument(
+        "--gamma", dest="focal_gamma", metavar="GAMMA", type=float, help="focal focusing exponent"
+    )
+    tr.add_argument(
+        "--alpha", dest="alpha_mode", choices=["auto", "uniform"], help="class-weight mode"
+    )
     tr.add_argument("--max-epochs", dest="max_epochs", type=int)
     tr.add_argument("--batch-size", dest="batch_size", type=int)
-    tr.add_argument("--lr", type=float)
+    tr.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
     tr.add_argument("--patience", type=int)
     tr.add_argument("--min-delta", dest="min_delta", type=float)
     tr.add_argument("--seed", type=int, help="sets both the model and training seeds")
@@ -358,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--n-a", dest="n_a", type=int)
     tr.add_argument("--gamma-relax", dest="gamma_relax", type=float)
     tr.add_argument("--lambda-sparse", dest="lambda_sparse", type=float)
-    tr.add_argument("--embed-dim", dest="embed_dim", type=int)
+    tr.add_argument("--embed-dim", dest="embed_dims", metavar="EMBED_DIM", type=int)
     tr.add_argument("--virtual-batch", dest="virtual_batch", type=int)
     tr.add_argument("--val-fraction", dest="val_fraction", type=float)
     tr.add_argument("--f1-average", dest="f1_average", choices=["macro", "weighted"])

@@ -28,6 +28,8 @@ from .errors import (
     LabelError,
     SchemaError,
     SplitError,
+    check_int,
+    check_number,
 )
 
 MISSING_TOKENS = frozenset({"", "NaN", "nan"})
@@ -130,15 +132,6 @@ class ColumnSchema:
     missing_fraction: float = 0.0
     drop_reason: str | None = None
     inferred_kind: str | None = None
-
-    def decode(self, code: int) -> str:
-        """Inverse of the encoding map (observed values only)."""
-        if self.encoding is None:
-            raise EncodingError(f"column {self.name!r} has no encoding")
-        for value, c in self.encoding.items():
-            if c == code:
-                return value
-        raise EncodingError(f"column {self.name!r}: code {code} not in encoding")
 
 
 @dataclass
@@ -258,6 +251,8 @@ def fit_schema(
         raise ConfigError(f"unknown encode_order {encode_order!r}")
     if impute_strategy not in ("mode", "median"):
         raise ConfigError(f"unknown impute_strategy {impute_strategy!r}")
+    check_number("drop_threshold", drop_threshold)
+    check_int("continuous_distinct_threshold", continuous_distinct_threshold)
     if table.n_rows == 0:
         raise SchemaError("cannot fit a schema on an empty table")
 

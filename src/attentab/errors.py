@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the setting type checks
+that raise them."""
 
 
 class AttentabError(Exception):
@@ -59,3 +60,18 @@ class PersistenceError(AttentabError):
 
 class ModelStateError(AttentabError):
     """Operation requires a trained model."""
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise ConfigError unless ``value`` is an int of at least ``minimum``.
+    A bool is not an int here: JSON ``true`` must not pass as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_number(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an int or a float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")

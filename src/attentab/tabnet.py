@@ -44,7 +44,14 @@ from .autodiff import (
 )
 from .container import MODEL_MAGIC, decoding, read_container, write_container
 from .data import KIND_CATEGORICAL, KIND_CONTINUOUS, FeatureSchema
-from .errors import ConfigError, EncodingError, ModelStateError, PersistenceError
+from .errors import (
+    ConfigError,
+    EncodingError,
+    ModelStateError,
+    PersistenceError,
+    check_int,
+    check_number,
+)
 
 # A prior of exactly zero must keep a feature out of the mask even when its
 # score would top the row (a zero product wins sparsemax whenever every
@@ -74,23 +81,23 @@ class TabNetConfig:
 
     def validate(self) -> None:
         for name in ("n_d", "n_a", "n_steps"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+            check_int(name, getattr(self, name), 1)
+        check_number("gamma_relax", self.gamma_relax)
         if self.gamma_relax < 1.0:
             raise ConfigError(f"gamma_relax must be >= 1, got {self.gamma_relax}")
+        check_number("lambda_sparse", self.lambda_sparse)
         if self.lambda_sparse < 0.0:
             raise ConfigError(f"lambda_sparse must be >= 0, got {self.lambda_sparse}")
-        if isinstance(self.embed_dims, int):
-            if self.embed_dims < 1:
-                raise ConfigError(f"embed_dims must be >= 1, got {self.embed_dims}")
+        if isinstance(self.embed_dims, (list, tuple)):
+            if not self.embed_dims:
+                raise ConfigError("embed_dims list must not be empty")
+            for d in self.embed_dims:
+                check_int("embed_dims", d, 1)
         else:
-            if not self.embed_dims or any(d < 1 for d in self.embed_dims):
-                raise ConfigError("embed_dims list entries must all be >= 1")
-        if self.virtual_batch is not None and self.virtual_batch < 2:
-            raise ConfigError(
-                f"virtual_batch must be None or >= 2, got {self.virtual_batch}"
-            )
+            check_int("embed_dims", self.embed_dims, 1)
+        if self.virtual_batch is not None:
+            check_int("virtual_batch", self.virtual_batch, 2)
+        check_int("seed", self.seed, 0)
 
 
 class LinearLayer:
@@ -382,16 +389,8 @@ class TabNetClassifier:
             start += width
         return out
 
-    def forward(
-        self,
-        tape: Tape | None,
-        X: np.ndarray,
-        training: bool,
-        fixed_masks: list[np.ndarray] | None = None,
-    ) -> ForwardOutput:
-        """Full pipeline. ``fixed_masks`` replays externally supplied masks
-        (one [B, D] array per step) instead of running the attentive
-        transformers; used to probe the masking mechanism in isolation."""
+    def forward(self, tape: Tape | None, X: np.ndarray, training: bool) -> ForwardOutput:
+        """Full pipeline: embed, normalize, then n_steps masked decision steps."""
         cfg = self.config
         feats = self.input_bn(tape, self.embed(tape, X), training)
         B = feats.data.shape[0]
@@ -405,11 +404,8 @@ class TabNetClassifier:
         agg: Tensor | None = None
         entropy_sum: Tensor | None = None
         for i in range(cfg.n_steps):
-            if fixed_masks is not None:
-                mask = Tensor(fixed_masks[i])
-            else:
-                mask = self.attentives[i](tape, a_prev, prior, training)
-                prior = mul(tape, prior, add_const(tape, scale(tape, mask, -1.0), cfg.gamma_relax))
+            mask = self.attentives[i](tape, a_prev, prior, training)
+            prior = mul(tape, prior, add_const(tape, scale(tape, mask, -1.0), cfg.gamma_relax))
             masks.append(mask)
 
             masked = mul(tape, mask, feats)

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Adam, Tape, add, scale, softmax_logprob
 from .container import atomic_write_text
 from .data import EncodedDataset, Split
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError, check_int, check_number
 from .losses import LossValue, alpha_from_frequencies, focal_nll
 from .tabnet import EVAL_BATCH, TabNetClassifier
 
@@ -45,20 +45,20 @@ class TrainConfig:
     seed: int = 42
 
     def validate(self) -> None:
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        for name, minimum in (
+            ("max_epochs", 1), ("batch_size", 2), ("patience", 1), ("lr_patience", 1), ("seed", 0)
+        ):
+            check_int(name, getattr(self, name), minimum)
+        for name in (
+            "learning_rate", "min_delta", "lr_factor", "min_lr", "focal_gamma", "val_fraction"
+        ):
+            check_number(name, getattr(self, name))
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.min_delta < 0:
             raise ConfigError(f"min_delta must be >= 0, got {self.min_delta}")
         if not 0 < self.lr_factor < 1:
             raise ConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
-        if self.lr_patience < 1:
-            raise ConfigError(f"lr_patience must be >= 1, got {self.lr_patience}")
         if self.min_lr <= 0:
             raise ConfigError(f"min_lr must be positive, got {self.min_lr}")
         if self.loss_kind not in LOSS_KINDS:

@@ -1,5 +1,7 @@
 """Tape mechanics, per-op forward values and gradients, batch norm, Adam."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,12 @@ class TestForwardValues:
             for j in range(3):
                 want = x[b, j] / (1.0 + np.exp(-x[b, 3 + j]))
                 assert abs(out[b, j] - want) < 1e-12
+
+    def test_glu_saturated_gate_is_exactly_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.glu(None, ad.Tensor([[3.0, -1000.0]]))
+        assert out.data[0, 0] == 0.0
 
     def test_glu_rejects_odd_width(self, rng):
         with pytest.raises(ShapeError, match="even"):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attentab.cli import main
+from attentab.cli import load_config_file, main
 from attentab.data import FeatureSchema
 from attentab.tabnet import load_model
 
@@ -279,6 +279,81 @@ class TestConfigFile:
         (tmp_path / "run.json").write_text("{not json")
         code, _, err = run(["inspect", "--config", "run.json"], capsys)
         assert code == 2 and "JSON" in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, flags, name",
+        [
+            ("preprocess", {"data": {"drop_threshold": "0.5"}}, [], "drop_threshold"),
+            ("preprocess", {"data": {"values_csv": 5, "labels_csv": LABELS}}, [],
+             "data.values_csv"),
+            ("train", {"model": {"gamma_relax": "1.3"}}, [], "gamma_relax"),
+            ("train", {"train": {"seed": "1"}}, [], "seed"),
+            ("train", {"train": {"focal_gamma": "2"}}, [], "focal_gamma"),
+            ("train", {"train": {"max_epochs": True}}, [], "max_epochs"),
+            ("train", {}, ["--seed", "-1"], "seed"),
+            # a number here used to be opened as a file descriptor
+            ("evaluate", {"paths": {"model": 5}}, [], "paths.model"),
+        ],
+        ids=["data.drop_threshold", "data.values_csv", "model.gamma_relax", "train.seed",
+             "train.focal_gamma", "train.max_epochs", "seed-flag", "paths.model"],
+    )
+    def test_mistyped_value_exits_two_naming_the_key(
+        self, tmp_path, monkeypatch, capsys, command, cfg, flags, name
+    ):
+        in_dir(monkeypatch, tmp_path)
+        if command == "preprocess":
+            flags = flags + ["--values", VALUES, "--labels", LABELS]
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        code, _, err = run([command, "--config", "run.json"] + flags, capsys)
+        assert code == 2
+        assert name in err
+
+    def test_readme_config_example_is_accepted(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "run.json").write_text(block)
+        cfg = load_config_file(str(tmp_path / "run.json"))
+        assert set(cfg) == {"data", "model", "train", "paths"}
+
+    @pytest.mark.parametrize(
+        "section, key, flag, file_value, flag_value, default",
+        [
+            ("data", "drop_threshold", "--drop-threshold", 0.9, 0.7, 0.5),
+            ("model", "n_steps", "--n-steps", 2, 3, 4),
+            ("train", "max_epochs", "--max-epochs", 2, 1, 120),
+            ("paths", "history", "--out-history", "file.csv", "flag.csv", "history.csv"),
+        ],
+    )
+    def test_flag_beats_file_beats_default(
+        self, tmp_path, monkeypatch, capsys, section, key, flag, file_value, flag_value, default
+    ):
+        def resolved(argv, cfg):
+            work = tmp_path / str(len(list(tmp_path.iterdir())))
+            work.mkdir()
+            in_dir(monkeypatch, work)
+            (work / "run.json").write_text(json.dumps(cfg))
+            pre = ["preprocess", "--config", "run.json", "--values", VALUES, "--labels", LABELS]
+            assert main(pre + (argv if section == "data" else [])) == 0
+            if section == "data":
+                return FeatureSchema.load("schema.json").drop_threshold
+            train = ["train", "--config", "run.json", "--batch-size", "8", "--n-d", "2",
+                     "--n-a", "2", "--patience", "1"]
+            if key != "max_epochs":
+                train += ["--max-epochs", "1"]
+            assert main(train + argv) == 0
+            if section == "paths":
+                return next(p.name for p in work.iterdir() if p.suffix == ".csv")
+            model = load_model("model.attb")
+            if section == "model":
+                return model.config.n_steps
+            return model.train_info["train_config"]["max_epochs"]
+
+        in_file = {section: {key: file_value}}
+        assert resolved([flag, str(flag_value)], in_file) == flag_value
+        assert resolved([], in_file) == file_value
+        assert resolved([], {}) == default
+        capsys.readouterr()
 
 
 class TestThreadEnv:

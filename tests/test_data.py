@@ -261,6 +261,10 @@ class TestFitSchema:
             fit_schema(t, "label", encode_order="random")
         with pytest.raises(ConfigError):
             fit_schema(t, "label", impute_strategy="zero")
+        with pytest.raises(ConfigError, match="drop_threshold"):
+            fit_schema(t, "label", drop_threshold="0.5")
+        with pytest.raises(ConfigError, match="continuous_distinct_threshold"):
+            fit_schema(t, "label", continuous_distinct_threshold=True)
 
     def test_labels_sorted_alphabetically(self):
         t = table(
@@ -330,14 +334,6 @@ class TestEncode:
         bad = table(["id", "cat", "num", "label"], [["9", "a", "soft", "yes"]])
         with pytest.raises(EncodingError, match="num"):
             encode(bad, schema)
-
-    def test_decode_round_trip(self):
-        schema, t = self.schema_and_table()
-        c = col(schema, "cat")
-        for value, code in c.encoding.items():
-            assert c.decode(code) == value
-        with pytest.raises(EncodingError):
-            c.decode(99)
 
 
 @st.composite

@@ -78,10 +78,20 @@ class TestConfig:
             {"embed_dims": 0},
             {"embed_dims": [1, 0]},
             {"virtual_batch": 1},
+            {"n_d": True},
+            {"gamma_relax": "1.3"},
+            {"lambda_sparse": None},
+            {"embed_dims": "4"},
+            {"embed_dims": [2, 1.0]},
+            {"embed_dims": []},
+            {"virtual_batch": 128.0},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": "1"},
         ],
     )
     def test_bad_values_rejected(self, kw):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
             TabNetConfig(**kw).validate()
 
     def test_embed_dims_list_must_match_categorical_count(self):
@@ -223,18 +233,23 @@ class TestMasksAndPrior:
         mask = np.full((6, D), 1.0)
         mask[:, span] = 0.0
         mask /= mask.sum(axis=1, keepdims=True)
-        fixed = [mask, mask]
-        base = model.forward(None, X, training=False, fixed_masks=fixed).logits.data
+
+        def logits(X, step_mask):
+            # stub attentive transformers replay the fixed mask at every step
+            model.attentives = [lambda tape, a_prev, prior, training: ad.Tensor(step_mask)] * 2
+            return model.forward(None, X, training=False).logits.data
+
+        base = logits(X, mask)
         X2 = X.copy()
         x1_j = [name for name, _, _ in model._columns].index("x1")
         X2[:, x1_j] += 10.0
-        moved = model.forward(None, X2, training=False, fixed_masks=fixed).logits.data
+        moved = logits(X2, mask)
         np.testing.assert_allclose(moved, base, atol=1e-9)
         # sanity: the same perturbation with the column unmasked does move them
         open_mask = np.full((6, D), 1.0 / D)
-        base_open = model.forward(None, X, training=False, fixed_masks=[open_mask] * 2)
-        moved_open = model.forward(None, X2, training=False, fixed_masks=[open_mask] * 2)
-        assert np.abs(moved_open.logits.data - base_open.logits.data).max() > 1e-6
+        base_open = logits(X, open_mask)
+        moved_open = logits(X2, open_mask)
+        assert np.abs(moved_open - base_open).max() > 1e-6
 
 
 class TestSharing:

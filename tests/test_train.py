@@ -50,10 +50,19 @@ class TestTrainConfig:
             {"alpha_mode": "manual"},
             {"f1_average": "micro"},
             {"val_fraction": 0.0},
+            {"max_epochs": True},
+            {"max_epochs": 3.0},
+            {"batch_size": "8"},
+            {"learning_rate": "0.02"},
+            {"min_delta": False},
+            {"focal_gamma": "2"},
+            {"val_fraction": None},
+            {"seed": "1"},
+            {"seed": -1},
         ],
     )
     def test_bad_values_rejected(self, kw):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
             tr.TrainConfig(**kw).validate()
 
 
