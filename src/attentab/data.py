@@ -239,7 +239,8 @@ def fit_schema(
 ) -> FeatureSchema:
     """Fit per-column metadata from a training table.
 
-    Columns whose missing fraction exceeds ``drop_threshold`` are dropped.
+    Columns whose missing fraction exceeds ``drop_threshold`` (in [0, 1])
+    are dropped.
     Remaining columns with missing values get an imputation value: the modal
     value under the ``mode`` strategy, or the median (continuous columns
     only) under ``median``. Categorical encodings are assigned by first
@@ -252,6 +253,8 @@ def fit_schema(
     if impute_strategy not in ("mode", "median"):
         raise ConfigError(f"unknown impute_strategy {impute_strategy!r}")
     check_number("drop_threshold", drop_threshold)
+    if not 0.0 <= drop_threshold <= 1.0:
+        raise ConfigError(f"drop_threshold must be in [0, 1], got {drop_threshold}")
     check_int("continuous_distinct_threshold", continuous_distinct_threshold)
     if table.n_rows == 0:
         raise SchemaError("cannot fit a schema on an empty table")

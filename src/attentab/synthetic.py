@@ -1,5 +1,5 @@
-"""Synthetic dataset generators used by the experiment scripts and the
-acceptance suite: a margin-separated nonlinear 3-class task for learnability
+"""Synthetic dataset generators used by the acceptance suite and the
+benchmark: a margin-separated nonlinear 3-class task for learnability
 and feature-recovery checks, and an overlapping imbalanced binary task for
 loss-comparison experiments.
 """

@@ -1,13 +1,17 @@
 """Release gate: one test per acceptance criterion.
 
 Criteria 1 through 9 are self-contained and always run. Criteria 10 through
-12 need the water-pump CSV pair (see scripts/run_pump.py for how to obtain
-it) and are skipped when the files are absent; point ATTENTAB_PUMP_DIR at a
-directory holding training_set_values.csv and training_set_labels.csv to
-enable them. Each test prints a verdict line, collected into the
-"acceptance criteria" section of the terminal summary.
+12 run the README's pump recipe through the CLI. They need the water-pump
+CSV pair (see the README's Experiments section for how to obtain it) and are
+skipped when the files are absent; point ATTENTAB_PUMP_DIR at a directory
+holding training_set_values.csv and training_set_labels.csv to enable them.
+Each test prints a verdict line, collected into the "acceptance criteria"
+section of the terminal summary.
 """
 
+import contextlib
+import io
+import json
 import os
 import time
 from pathlib import Path
@@ -366,27 +370,50 @@ def test_criterion_09_early_stop_and_scheduler_contracts():
 # ------------------------------------------------- extended pump criteria
 
 
-def _require_pump(num: int) -> None:
-    if not (PUMP_VALUES.exists() and PUMP_LABELS.exists()):
-        criterion_skip(
-            num, f"pump CSVs not found under {PUMP_DIR} (see scripts/run_pump.py)"
-        )
-        pytest.skip(f"pump dataset not available under {PUMP_DIR}")
+def _pump_runs(values: Path, labels: Path, ws: Path) -> dict:
+    """The README's pump recipe through the CLI: preprocess once, train the
+    focal and cce arms, and read each arm's ``evaluate --split val`` line."""
+    t0 = time.perf_counter()
+    dataset = str(ws / "dataset.attd")
+    assert main(
+        ["preprocess", "--values", str(values), "--labels", str(labels),
+         "--out-schema", str(ws / "schema.json"), "--out-dataset", dataset]
+    ) == 0
+    runs: dict = {"dataset": dataset}
+    for kind, loss_flags in (("focal", ["--loss", "focal", "--gamma", "2"]), ("cce", ["--loss", "cce"])):
+        model = str(ws / f"{kind}.attb")
+        assert main(
+            ["train", "--dataset", dataset, *loss_flags, "--seed", "0", "--out-model", model,
+             "--out-history", str(ws / f"{kind}_history.csv"),
+             "--out-metrics", str(ws / f"{kind}_metrics.json")]
+        ) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["evaluate", "--model", model, "--dataset", dataset, "--split", "val"])
+        assert code == 0
+        result = json.loads(out.getvalue())
+        runs[kind] = {
+            "acc": result["accuracy"], "f1": result["f1"], "loss": result["loss"], "model": model
+        }
+    runs["seconds"] = time.perf_counter() - t0
+    return runs
 
 
-_PUMP_CACHE: dict = {}
+@pytest.fixture(scope="module")
+def pump_runs(tmp_path_factory) -> dict:
+    """Both pump arms, trained once for criteria 10 through 12."""
+    return _pump_runs(PUMP_VALUES, PUMP_LABELS, tmp_path_factory.mktemp("pump_runs"))
 
 
-def _pump_runs(tmp_path_factory) -> dict:
-    """Train the focal and cce arms once; later criteria reuse the results."""
-    if _PUMP_CACHE:
-        return _PUMP_CACHE
-    ws = tmp_path_factory.mktemp("pump_runs")
-    table = join_on_id(load_csv(str(PUMP_VALUES)), load_csv(str(PUMP_LABELS)))
+def _library_pump_runs(values: Path, labels: Path, ws: Path) -> dict:
+    """The library composition criteria 10 through 12 used to train with,
+    kept as the reference that the CLI recipe must reproduce."""
+    table = join_on_id(load_csv(str(values)), load_csv(str(labels)))
     schema = fit_schema(table, "status_group")
     ds = encode(table, schema)
     split = stratified_split(ds, 0.2, seed=0)
     counts = np.bincount(ds.labels[split.train_indices], minlength=len(schema.labels))
+    runs: dict = {}
     for kind in ("focal", "cce"):
         model = TabNetClassifier(TabNetConfig(seed=0), ds.schema)
         cfg = TrainConfig(loss_kind=kind, focal_gamma=2.0, alpha_mode="auto", seed=0)
@@ -396,18 +423,39 @@ def _pump_runs(tmp_path_factory) -> dict:
         )
         model_path = str(ws / f"{kind}.attb")
         save_model(model_path, model)
-        _PUMP_CACHE[kind] = {"acc": acc, "f1": f1, "loss": loss, "model": model_path}
-    _PUMP_CACHE["dataset"] = str(ws / "dataset.attd")
-    save_dataset(_PUMP_CACHE["dataset"], ds)
-    return _PUMP_CACHE
+        runs[kind] = {"acc": acc, "f1": f1, "loss": loss, "model": model_path}
+    runs["dataset"] = str(ws / "dataset.attd")
+    save_dataset(runs["dataset"], ds)
+    return runs
 
 
-def test_criterion_10_pump_reproduction_band(tmp_path_factory):
-    _require_pump(10)
-    t0 = time.perf_counter()
-    runs = _pump_runs(tmp_path_factory)
-    dt = time.perf_counter() - t0
-    focal, cce = runs["focal"], runs["cce"]
+def test_pump_recipe_matches_library_composition(tmp_path):
+    """Criteria 10 through 12 skip without the pump CSVs, so their recipe
+    runs here on the pump-shaped fixture pair instead."""
+    values, labels = FIXTURES / "mini_values.csv", FIXTURES / "mini_labels.csv"
+    (tmp_path / "cli").mkdir()
+    (tmp_path / "lib").mkdir()
+    recipe = _pump_runs(values, labels, tmp_path / "cli")
+    reference = _library_pump_runs(values, labels, tmp_path / "lib")
+    for kind in ("focal", "cce"):
+        for key in ("acc", "f1", "loss"):
+            assert recipe[kind][key] == reference[kind][key], (kind, key)
+        assert Path(recipe[kind]["model"]).read_bytes() == Path(reference[kind]["model"]).read_bytes()
+    assert Path(recipe["dataset"]).read_bytes() == Path(reference["dataset"]).read_bytes()
+
+
+def _require_pump(num: int, request) -> dict:
+    if not (PUMP_VALUES.exists() and PUMP_LABELS.exists()):
+        criterion_skip(
+            num, f"pump CSVs not found under {PUMP_DIR} (see the README's Experiments section)"
+        )
+        pytest.skip(f"pump dataset not available under {PUMP_DIR}")
+    return request.getfixturevalue("pump_runs")
+
+
+def test_criterion_10_pump_reproduction_band(request):
+    runs = _require_pump(10, request)
+    focal, cce, dt = runs["focal"], runs["cce"], runs["seconds"]
     ok = focal["acc"] >= 0.80 and focal["f1"] >= 0.64 and cce["acc"] >= 0.79
     assert criterion(
         10,
@@ -417,9 +465,8 @@ def test_criterion_10_pump_reproduction_band(tmp_path_factory):
     )
 
 
-def test_criterion_11_pump_focal_beats_cce(tmp_path_factory):
-    _require_pump(11)
-    runs = _pump_runs(tmp_path_factory)
+def test_criterion_11_pump_focal_beats_cce(request):
+    runs = _require_pump(11, request)
     ok = runs["focal"]["acc"] > runs["cce"]["acc"]
     assert criterion(
         11,
@@ -429,9 +476,9 @@ def test_criterion_11_pump_focal_beats_cce(tmp_path_factory):
     )
 
 
-def test_criterion_12_pump_explain_table(tmp_path_factory, capsys):
-    _require_pump(12)
-    runs = _pump_runs(tmp_path_factory)
+def test_criterion_12_pump_explain_table(request, capsys):
+    runs = _require_pump(12, request)
+    capsys.readouterr()  # drop preprocess and train output, if the fixture ran here
     code = main(
         ["explain", "--model", runs["focal"]["model"], "--dataset", runs["dataset"],
          "--top-k", "5"]

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -10,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attentab.cli import load_config_file, main
+from attentab.cli import build_parser, load_config_file, main
 from attentab.data import FeatureSchema
 from attentab.tabnet import load_model
 
+README = Path(__file__).parents[1] / "README.md"
 FIXTURES = Path(__file__).parent / "fixtures"
 VALUES = str(FIXTURES / "mini_values.csv")
 LABELS = str(FIXTURES / "mini_labels.csv")
@@ -23,6 +26,13 @@ FAST_MODEL = [
     "--n-steps", "1", "--patience", "50", "--lr", "0.02",
 ]
 FAST_TRAIN = FAST_MODEL + ["--seed", "5"]
+
+
+def readme_commands() -> list[str]:
+    """Every ``attentab ...`` line in the README's fenced code blocks."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("attentab ")]
 
 
 def run(argv, capsys):
@@ -291,11 +301,14 @@ class TestConfigFile:
             ("train", {"train": {"focal_gamma": "2"}}, [], "focal_gamma"),
             ("train", {"train": {"max_epochs": True}}, [], "max_epochs"),
             ("train", {}, ["--seed", "-1"], "seed"),
+            # used to drop every column and exit 0
+            ("preprocess", {}, ["--drop-threshold", "-1"], "drop_threshold"),
             # a number here used to be opened as a file descriptor
             ("evaluate", {"paths": {"model": 5}}, [], "paths.model"),
         ],
         ids=["data.drop_threshold", "data.values_csv", "model.gamma_relax", "train.seed",
-             "train.focal_gamma", "train.max_epochs", "seed-flag", "paths.model"],
+             "train.focal_gamma", "train.max_epochs", "seed-flag", "drop-threshold-flag",
+             "paths.model"],
     )
     def test_mistyped_value_exits_two_naming_the_key(
         self, tmp_path, monkeypatch, capsys, command, cfg, flags, name
@@ -309,12 +322,17 @@ class TestConfigFile:
         assert name in err
 
     def test_readme_config_example_is_accepted(self, tmp_path):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("### Configuration", 1)[1]
+        section = README.read_text(encoding="utf-8").split("### Configuration", 1)[1]
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
         (tmp_path / "run.json").write_text(block)
         cfg = load_config_file(str(tmp_path / "run.json"))
         assert set(cfg) == {"data", "model", "train", "paths"}
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_readme_command_line_parses(self, line):
+        # argparse exits 2 on an unknown flag or a bad choice
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert args.command == shlex.split(line)[1]
 
     @pytest.mark.parametrize(
         "section, key, flag, file_value, flag_value, default",

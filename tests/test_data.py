@@ -1,6 +1,5 @@
 """CSV ingestion, schema fitting, encoding, splitting, dataset persistence."""
 
-import csv
 import json
 import struct
 import tempfile
@@ -110,18 +109,32 @@ class TestLoadCsv:
 
     @given(
         st.lists(
-            st.lists(st.sampled_from(CELL_TEXTS + sorted(MISSING_TOKENS)), min_size=3, max_size=3),
+            st.lists(
+                st.sampled_from(CELL_TEXTS + sorted(MISSING_TOKENS))
+                | st.text(st.sampled_from(',"\r\n é中😀') | st.characters(), max_size=6),
+                min_size=3,
+                max_size=3,
+            ),
             max_size=8,
         )
     )
     @settings(max_examples=100, deadline=None)
     def test_cells_match_the_per_cell_rule(self, grid):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows([["a", "b", "c"]] + grid)
-            t = load_csv(str(path))
-        assert t.rows == [[None if c in MISSING_TOKENS else c for c in row] for row in grid]
+        # RFC 4180 by hand: csv.writer (Python 3.11) leaves a field holding a
+        # lone \r unquoted when the line terminator is \n
+        def field(cell):
+            if any(c in cell for c in ',"\r\n'):
+                return '"' + cell.replace('"', '""') + '"'
+            return cell
+
+        expected = [[None if c in MISSING_TOKENS else c for c in row] for row in grid]
+        for terminator in ("\r\n", "\n"):
+            text = "".join(",".join(map(field, row)) + terminator for row in [["a", "b", "c"]] + grid)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "t.csv"
+                path.write_bytes(text.encode("utf-8"))
+                t = load_csv(str(path))
+            assert t.rows == expected, terminator
 
 
 class TestJoin:
@@ -261,8 +274,9 @@ class TestFitSchema:
             fit_schema(t, "label", encode_order="random")
         with pytest.raises(ConfigError):
             fit_schema(t, "label", impute_strategy="zero")
-        with pytest.raises(ConfigError, match="drop_threshold"):
-            fit_schema(t, "label", drop_threshold="0.5")
+        for bad in ("0.5", -1, 1.5):
+            with pytest.raises(ConfigError, match="drop_threshold"):
+                fit_schema(t, "label", drop_threshold=bad)
         with pytest.raises(ConfigError, match="continuous_distinct_threshold"):
             fit_schema(t, "label", continuous_distinct_threshold=True)
 
