@@ -396,6 +396,8 @@ class BatchNorm:
     running statistics. ``virtual_batch=None`` means one chunk spanning the
     whole batch. The running variance stored is the biased (1/n) estimate,
     so momentum 1.0 makes a following eval pass reproduce the train output.
+    Eval mode is the constant affine map of :meth:`eval_affine`; it records
+    nothing, so it runs without a tape.
     """
 
     def __init__(
@@ -441,7 +443,19 @@ class BatchNorm:
             )
         if training:
             return self._train_forward(tape, x)
-        return self._eval_forward(tape, x)
+        if tape is not None:
+            raise GraphError(
+                f"batch_norm {self.name}: eval mode has no backward; call it with tape=None"
+            )
+        scale, shift = self.eval_affine()
+        return Tensor(xd * scale + shift)
+
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eval mode as ``x * scale + shift``: with s = gamma / sqrt(running_var
+        + eps), scale is s and shift is beta - running_mean * s. A linear layer
+        before the norm folds it in as weights W * s and bias b * s + shift."""
+        s = self.gamma.data / np.sqrt(self.running_var + self.eps)
+        return s, self.beta.data - self.running_mean * s
 
     def _train_forward(self, tape: Tape | None, x: Tensor) -> Tensor:
         xd = x.data
@@ -486,19 +500,6 @@ class BatchNorm:
                 return gx, dgamma, dbeta
 
             tape.record("batch_norm_train", (x, self.gamma, self.beta), result, bwd)
-        return result
-
-    def _eval_forward(self, tape: Tape | None, x: Tensor) -> Tensor:
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        xhat = (x.data - self.running_mean) * inv
-        result = Tensor(xhat * self.gamma.data + self.beta.data)
-        if tape is not None:
-            gamma = self.gamma.data
-
-            def bwd(g):
-                return g * gamma * inv, (g * xhat).sum(axis=0), g.sum(axis=0)
-
-            tape.record("batch_norm_eval", (x, self.gamma, self.beta), result, bwd)
         return result
 
 

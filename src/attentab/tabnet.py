@@ -47,6 +47,7 @@ from .data import KIND_CATEGORICAL, KIND_CONTINUOUS, FeatureSchema
 from .errors import (
     ConfigError,
     EncodingError,
+    GraphError,
     ModelStateError,
     PersistenceError,
     check_int,
@@ -355,29 +356,37 @@ class TabNetClassifier:
 
     # -------------------------------------------------------------- forward
 
-    def embed(self, tape: Tape | None, X: np.ndarray) -> Tensor:
-        """Encoded matrix -> dense features: continuous columns pass through,
-        categorical codes go through their embedding tables."""
+    def _column_values(self, X: np.ndarray) -> list[np.ndarray]:
+        """Check an encoded matrix and split it by column: a continuous
+        column as floats, a categorical one as its int64 codes."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self._columns):
             raise EncodingError(
                 f"expected matrix with {len(self._columns)} columns, got shape {X.shape}"
             )
-        parts: list[Tensor] = []
+        values = []
         for j, (name, kind, _) in enumerate(self._columns):
             col = X[:, j]
-            if kind == KIND_CONTINUOUS:
-                parts.append(Tensor(col[:, None].copy()))
-            else:
-                table = self.embeddings[name]
+            if kind == KIND_CATEGORICAL:
+                n_codes = self.embeddings[name].data.shape[0]
                 codes = col.astype(np.int64)
                 if np.any(codes != col):
                     raise EncodingError(f"column {name!r}: non-integer categorical code")
-                if codes.size and (codes.min() < 0 or codes.max() >= table.data.shape[0]):
-                    raise EncodingError(
-                        f"column {name!r}: code out of range 0..{table.data.shape[0] - 1}"
-                    )
-                parts.append(embedding(tape, table, codes))
+                if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
+                    raise EncodingError(f"column {name!r}: code out of range 0..{n_codes - 1}")
+                col = codes
+            values.append(col)
+        return values
+
+    def embed(self, tape: Tape | None, X: np.ndarray) -> Tensor:
+        """Encoded matrix -> dense features: continuous columns pass through,
+        categorical codes go through their embedding tables."""
+        parts: list[Tensor] = []
+        for (name, kind, _), col in zip(self._columns, self._column_values(X)):
+            if kind == KIND_CONTINUOUS:
+                parts.append(Tensor(col[:, None].copy()))
+            else:
+                parts.append(embedding(tape, self.embeddings[name], col))
         return concat_cols(tape, parts)
 
     def attribution_map(self) -> list[tuple[str, slice]]:
@@ -390,7 +399,15 @@ class TabNetClassifier:
         return out
 
     def forward(self, tape: Tape | None, X: np.ndarray, training: bool) -> ForwardOutput:
-        """Full pipeline: embed, normalize, then n_steps masked decision steps."""
+        """Full pipeline: embed, normalize, then n_steps masked decision steps.
+
+        Eval mode (``training=False``) runs tape-free through an
+        :class:`_EvalPlan` folded from the current parameters and running
+        statistics."""
+        if not training:
+            if tape is not None:
+                raise GraphError("eval-mode forward has no backward; call it with tape=None")
+            return _EvalPlan(self).forward(X)
         cfg = self.config
         feats = self.input_bn(tape, self.embed(tape, X), training)
         B = feats.data.shape[0]
@@ -431,10 +448,11 @@ class TabNetClassifier:
         n = X.shape[0] if indices is None else len(indices)
         if n == 0:
             raise ConfigError("cannot score an empty row set")
+        plan = _EvalPlan(self)
         for start in range(0, n, batch_size):
             rows = slice(start, start + batch_size)
             chunk = X[rows] if indices is None else X[indices[rows]]
-            yield rows, self.forward(None, chunk, training=False)
+            yield rows, plan.forward(chunk)
 
     def predict_logits(self, X: np.ndarray, batch_size: int = EVAL_BATCH) -> np.ndarray:
         """Eval-mode logits, computed in bounded-memory chunks."""
@@ -485,6 +503,96 @@ class TabNetClassifier:
             instance_importance=instance,
             global_importance=instance.mean(axis=0),
             feature_names=[name for name, _ in attribution],
+        )
+
+
+# ---------------------------------------------------------- eval-mode plan
+
+
+def _fold(fc: LinearLayer, bn: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
+    """``bn(fc(x))`` in eval mode as one linear map ``x @ w + b``."""
+    scale, shift = bn.eval_affine()
+    return fc.w.data * scale, fc.b.data * scale + shift
+
+
+class _EvalPlan:
+    """Eval-mode forward of a model over plain arrays, with every batch norm
+    folded into the map before it.
+
+    Each GLU block's and each attentive transformer's fc + BN becomes one
+    linear layer (:func:`_fold`). ``input_bn`` folds into every row of each
+    embedding table, the reserved unseen-code row included, and into a scale
+    and shift per continuous column. Folding reorders float operations, so
+    outputs agree with the layer-by-layer eval computation to about 1e-12,
+    not bit for bit. A plan reads the model's arrays when it is built and is
+    never cached: training changes them every step.
+    """
+
+    def __init__(self, model: TabNetClassifier):
+        self.model = model
+        scale, shift = model.input_bn.eval_affine()
+        # (raw column, embedded columns, folded table) per categorical column
+        # and (raw column, embedded column, scale, shift) per continuous one
+        self.tables: list[tuple[int, slice, np.ndarray]] = []
+        self.affines: list[tuple[int, int, float, float]] = []
+        for j, ((name, kind, _), (_, cols)) in enumerate(
+            zip(model._columns, model.attribution_map())
+        ):
+            if kind == KIND_CATEGORICAL:
+                table = model.embeddings[name].data * scale[cols] + shift[cols]
+                self.tables.append((j, cols, table))
+            else:
+                self.affines.append((j, cols.start, scale[cols.start], shift[cols.start]))
+        self.transformers = [
+            [_fold(block.fc, block.bn) for block in ft.blocks] for ft in model.transformers
+        ]
+        self.attentives = [_fold(att.fc, att.bn) for att in model.attentives]
+
+    def _transform(self, t: int, x: np.ndarray) -> np.ndarray:
+        first, *rest = self.transformers[t]
+        h = glu(None, Tensor(x @ first[0] + first[1])).data
+        for w, b in rest:
+            h = (glu(None, Tensor(h @ w + b)).data + h) * SQRT_HALF
+        return h
+
+    def forward(self, X: np.ndarray) -> ForwardOutput:
+        model, cfg = self.model, self.model.config
+        n_d, n_a = cfg.n_d, cfg.n_a
+        values = model._column_values(X)
+        B = len(values[0])
+        feats = np.empty((B, model.d_model))
+        for j, cols, table in self.tables:
+            feats[:, cols] = table[values[j]]
+        for j, col, s, shift in self.affines:
+            feats[:, col] = values[j] * s + shift
+
+        a_prev = self._transform(0, feats)[:, n_d : n_d + n_a]
+        prior = np.ones((B, model.d_model))
+        masks: list[Tensor] = []
+        decisions: list[Tensor] = []
+        agg = None
+        entropy_sum = 0.0
+        for i in range(cfg.n_steps):
+            w, b = self.attentives[i]
+            scores = prior * (a_prev @ w + b)
+            keep = prior > 0.0
+            if not keep.all():
+                scores = np.where(keep, scores, EXCLUDED_SCORE)
+            mask = sparsemax(None, Tensor(scores))
+            prior = prior * (cfg.gamma_relax - mask.data)
+            masks.append(mask)
+
+            out = self._transform(i + 1, mask.data * feats)
+            d = relu(None, Tensor(out[:, :n_d]))
+            a_prev = out[:, n_d : n_d + n_a]
+            decisions.append(d)
+            agg = d.data if agg is None else agg + d.data
+            entropy_sum = entropy_sum + (mask.data * np.log(mask.data + SPARSITY_EPS)).sum()
+
+        logits = agg @ model.final.w.data + model.final.b.data
+        sparsity = entropy_sum * (-1.0 / (cfg.n_steps * B))
+        return ForwardOutput(
+            logits=Tensor(logits), masks=masks, decisions=decisions, sparsity=Tensor(sparsity)
         )
 
 

@@ -6,7 +6,23 @@ from collections import Counter
 
 import numpy as np
 
-from attentab.autodiff import Parameter, Tape
+from attentab.autodiff import (
+    SQRT_HALF,
+    Parameter,
+    Tape,
+    Tensor,
+    add,
+    add_const,
+    glu,
+    log,
+    mask_fill,
+    mul,
+    reduce_sum,
+    relu,
+    scale,
+    slice_cols,
+    sparsemax,
+)
 from attentab.data import (
     KIND_CATEGORICAL,
     KIND_CONTINUOUS,
@@ -18,6 +34,7 @@ from attentab.data import (
     RawTable,
 )
 from attentab.errors import ConfigError, EncodingError, LabelError, SchemaError
+from attentab.tabnet import EXCLUDED_SCORE, SPARSITY_EPS, ForwardOutput
 
 FD_H = 1e-5
 REL_FLOOR = 1e-6
@@ -57,8 +74,6 @@ def grad_check(build_loss, params, rng, samples=5, h=FD_H, floor=REL_FLOOR):
 def weighted_sum_loss(op, x: Parameter, weights: np.ndarray):
     """Loss builder reducing an op's output to a scalar via fixed weights,
     so finite differences probe every output entry."""
-    from attentab.autodiff import Tensor, mul, reduce_sum
-
     w = np.asarray(weights, dtype=np.float64)
 
     def build(tape):
@@ -72,18 +87,26 @@ def weighted_sum_loss(op, x: Parameter, weights: np.ndarray):
 # ------------------------------------------------------------ sparsemax oracles
 
 
+def sparsemax_sort_threshold(row: np.ndarray) -> tuple[int, float]:
+    """The sort rule of Martins & Astudillo (2016) for one row: with the
+    scores sorted in decreasing order, the support size is the largest k
+    with 1 + k * z_(k) > z_(1) + ... + z_(k), and the threshold is
+    tau = (z_(1) + ... + z_(k) - 1) / k. Tries every k in a plain loop."""
+    srt = np.sort(np.asarray(row, dtype=np.float64))[::-1]
+    k_star = 1
+    for k in range(1, srt.size + 1):
+        if 1.0 + k * srt[k - 1] > srt[:k].sum():
+            k_star = k
+    return k_star, (srt[:k_star].sum() - 1.0) / k_star
+
+
 def sparsemax_rowloop(z: np.ndarray) -> np.ndarray:
     """Naive per-row oracle: try every support size k, keep the one whose
     threshold is consistent. Independent of the vectorized implementation."""
     z = np.asarray(z, dtype=np.float64)
     out = np.zeros_like(z)
     for b in range(z.shape[0]):
-        row = np.sort(z[b])[::-1]
-        k_star = 1
-        for k in range(1, row.size + 1):
-            if 1.0 + k * row[k - 1] > row[:k].sum():
-                k_star = k
-        tau = (row[:k_star].sum() - 1.0) / k_star
+        _, tau = sparsemax_sort_threshold(z[b])
         out[b] = np.maximum(z[b] - tau, 0.0)
     return out
 
@@ -109,10 +132,7 @@ def sparsemax_bisect(z: np.ndarray, iters: int = 200) -> np.ndarray:
 def sparsemax_margin(z: np.ndarray) -> float:
     """Distance of the closest coordinate to its row's support boundary;
     inputs this close to a kink make finite differences invalid."""
-    from attentab.autodiff import sparsemax as _sm
-    from attentab.autodiff import Tensor
-
-    out = _sm(None, Tensor(z)).data
+    out = sparsemax(None, Tensor(z)).data
     z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max(axis=1, keepdims=True)
     margin = np.inf
@@ -215,20 +235,88 @@ def op_fd_cases(rng):
 
     add_case("slice_cols", lambda t, x: ad.slice_cols(t, x, 1, 3), rng.normal(size=(B, F)), out_shape=(B, 2))
 
-    for mode, training in (("train", True), ("eval", False)):
-        bn = ad.BatchNorm(F, name=f"fd_bn_{mode}")
-        bn.running_mean[...] = rng.normal(size=F)
-        bn.running_var[...] = 0.5 + rng.random(F)
-        xbn = ad.Parameter(rng.normal(size=(6, F)))
-        wbn = ad.Tensor(rng.normal(size=(6, F)))
+    bn = ad.BatchNorm(F, name="fd_bn_train")
+    bn.running_mean[...] = rng.normal(size=F)
+    bn.running_var[...] = 0.5 + rng.random(F)
+    xbn = ad.Parameter(rng.normal(size=(6, F)))
+    wbn = ad.Tensor(rng.normal(size=(6, F)))
 
-        def bn_loss(tape, bn=bn, xbn=xbn, wbn=wbn, training=training):
-            return ad.reduce_sum(tape, ad.mul(tape, bn(tape, xbn, training), wbn))
+    def bn_loss(tape):
+        return ad.reduce_sum(tape, ad.mul(tape, bn(tape, xbn, True), wbn))
 
-        cases.append((f"batch_norm_{mode}", bn_loss, [xbn, bn.gamma, bn.beta]))
+    cases.append(("batch_norm_train", bn_loss, [xbn, bn.gamma, bn.beta]))
 
     return cases
 
+
+
+# ---------------------------------------------- layered eval-mode reference
+#
+# The layer-by-layer eval-mode forward that the folded `_EvalPlan` in
+# `attentab.tabnet` replaced, kept verbatim as the equivalence oracle, with
+# each layer's eval call and the old `BatchNorm._eval_forward` formula
+# written out so the oracle shares no arithmetic with the plan.
+
+
+def _reference_batch_norm(bn, x):
+    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    xhat = (x.data - bn.running_mean) * inv
+    return Tensor(xhat * bn.gamma.data + bn.beta.data)
+
+
+def _reference_glu_block(block, x):
+    return glu(None, _reference_batch_norm(block.bn, block.fc(None, x)))
+
+
+def _reference_feature_transformer(ft, x):
+    h = _reference_glu_block(ft.blocks[0], x)
+    for block in ft.blocks[1:]:
+        h = scale(None, add(None, _reference_glu_block(block, h), h), SQRT_HALF)
+    return h
+
+
+def _reference_attentive(att, a_prev, prior):
+    h = _reference_batch_norm(att.bn, att.fc(None, a_prev))
+    scores = mul(None, prior, h)
+    keep = prior.data > 0.0
+    if not keep.all():
+        scores = mask_fill(None, scores, keep, EXCLUDED_SCORE)
+    return sparsemax(None, scores)
+
+
+def reference_eval_forward(model, X: np.ndarray) -> ForwardOutput:
+    """Full pipeline: embed, normalize, then n_steps masked decision steps."""
+    tape = None
+    cfg = model.config
+    feats = _reference_batch_norm(model.input_bn, model.embed(tape, X))
+    B = feats.data.shape[0]
+
+    split = _reference_feature_transformer(model.transformers[0], feats)
+    a_prev = slice_cols(tape, split, cfg.n_d, cfg.n_d + cfg.n_a)
+    prior = Tensor(np.ones((B, model.d_model)))
+
+    masks: list[Tensor] = []
+    decisions: list[Tensor] = []
+    agg: Tensor | None = None
+    entropy_sum: Tensor | None = None
+    for i in range(cfg.n_steps):
+        mask = _reference_attentive(model.attentives[i], a_prev, prior)
+        prior = mul(tape, prior, add_const(tape, scale(tape, mask, -1.0), cfg.gamma_relax))
+        masks.append(mask)
+
+        masked = mul(tape, mask, feats)
+        out = _reference_feature_transformer(model.transformers[i + 1], masked)
+        d = relu(tape, slice_cols(tape, out, 0, cfg.n_d))
+        a_prev = slice_cols(tape, out, cfg.n_d, cfg.n_d + cfg.n_a)
+        decisions.append(d)
+        agg = d if agg is None else add(tape, agg, d)
+
+        ent = reduce_sum(tape, mul(tape, mask, log(tape, add_const(tape, mask, SPARSITY_EPS))))
+        entropy_sum = ent if entropy_sum is None else add(tape, entropy_sum, ent)
+
+    logits = model.final(tape, agg)
+    sparsity = scale(tape, entropy_sum, -1.0 / (cfg.n_steps * B))
+    return ForwardOutput(logits=logits, masks=masks, decisions=decisions, sparsity=sparsity)
 
 
 # ------------------------------------------- per-cell preprocessing reference

@@ -266,6 +266,11 @@ class TestBatchNorm:
         # eval mode has no such restriction
         bn(None, ad.Tensor(np.ones((1, 3))), training=False)
 
+    def test_eval_mode_with_a_tape_rejected(self):
+        bn = ad.BatchNorm(3, name="probe")
+        with pytest.raises(GraphError, match="probe: eval mode"):
+            bn(ad.Tape(), ad.Tensor(np.ones((2, 3))), training=False)
+
     def test_eval_uses_running_statistics(self, rng):
         bn = ad.BatchNorm(2)
         bn.running_mean[...] = [1.0, -2.0]

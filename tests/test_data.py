@@ -47,6 +47,32 @@ CELL_TEXTS = [
 ]
 
 
+# quoted commas, double quotes, embedded CR/LF, non-ASCII and astral text
+HOSTILE_TEXT = st.text(st.sampled_from(',"\r\n é中😀') | st.characters(), max_size=6)
+PRESENT_TEXT = (st.sampled_from(CELL_TEXTS) | HOSTILE_TEXT).filter(
+    lambda t: t not in MISSING_TOKENS
+)
+
+
+def rfc4180(grid, terminator):
+    """CSV text quoted by hand: csv.writer (Python 3.11) leaves a field
+    holding a lone \\r unquoted when the line terminator is \\n."""
+
+    def field(cell):
+        if any(c in cell for c in ',"\r\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    return "".join(",".join(map(field, row)) + terminator for row in grid)
+
+
+def load_csv_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return load_csv(str(path))
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -110,8 +136,7 @@ class TestLoadCsv:
     @given(
         st.lists(
             st.lists(
-                st.sampled_from(CELL_TEXTS + sorted(MISSING_TOKENS))
-                | st.text(st.sampled_from(',"\r\n é中😀') | st.characters(), max_size=6),
+                st.sampled_from(CELL_TEXTS + sorted(MISSING_TOKENS)) | HOSTILE_TEXT,
                 min_size=3,
                 max_size=3,
             ),
@@ -120,21 +145,37 @@ class TestLoadCsv:
     )
     @settings(max_examples=100, deadline=None)
     def test_cells_match_the_per_cell_rule(self, grid):
-        # RFC 4180 by hand: csv.writer (Python 3.11) leaves a field holding a
-        # lone \r unquoted when the line terminator is \n
-        def field(cell):
-            if any(c in cell for c in ',"\r\n'):
-                return '"' + cell.replace('"', '""') + '"'
-            return cell
-
         expected = [[None if c in MISSING_TOKENS else c for c in row] for row in grid]
         for terminator in ("\r\n", "\n"):
-            text = "".join(",".join(map(field, row)) + terminator for row in [["a", "b", "c"]] + grid)
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / "t.csv"
-                path.write_bytes(text.encode("utf-8"))
-                t = load_csv(str(path))
+            t = load_csv_text(rfc4180([["a", "b", "c"]] + grid, terminator))
             assert t.rows == expected, terminator
+
+    @given(
+        st.lists(PRESENT_TEXT, min_size=1, max_size=8),
+        st.lists(PRESENT_TEXT, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hostile_cells_encode_one_code_per_text(self, fitted, served):
+        # the anchor never parses as a number, so the column is categorical
+        fitted = ['x,"y"\r\nz'] + fitted
+        seen = set(fitted)
+        for terminator in ("\r\n", "\n"):
+            def rows(texts):
+                grid = [["id", "c", "label"]] + [[str(i), t, "p"] for i, t in enumerate(texts)]
+                return load_csv_text(rfc4180(grid, terminator))
+
+            fit = rows(fitted)
+            schema = fit_schema(fit, "label")
+            c = col(schema, "c")
+            assert c.kind == KIND_CATEGORICAL
+            assert set(c.encoding) == seen
+            codes = encode(fit, schema).features[:, 0]
+            code_of = dict(zip(fitted, codes))
+            assert len(set(code_of.values())) == len(seen)  # one code per distinct text
+            assert [code_of[t] for t in fitted] == list(codes)  # equal texts share it
+            served_codes = encode(rows(fitted + served), schema).features[len(fitted) :, 0]
+            for text, code in zip(served, served_codes, strict=True):
+                assert code == code_of.get(text, c.cardinality), (text, terminator)
 
 
 class TestJoin:

@@ -2,23 +2,45 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attentab import autodiff as ad
 from attentab.errors import NumericsError
+from attentab.tabnet import EXCLUDED_SCORE
 
 from helpers import (
     grad_check,
     sparsemax_bisect,
     sparsemax_margin,
     sparsemax_rowloop,
+    sparsemax_sort_threshold,
     weighted_sum_loss,
 )
 
 
 def project(z):
     return ad.sparsemax(None, ad.Tensor(np.asarray(z, dtype=np.float64))).data
+
+
+# Quarter-step scores keep every sum in the sort rule exact, so ties and
+# entries sitting exactly on the threshold are decided alike by both sides.
+QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)
+
+
+@st.composite
+def score_rows(draw):
+    """Rows of tied quarter-step scores, EXCLUDED_SCORE entries (features
+    whose prior is exhausted) and, in some rows, one dominant score."""
+    dim = draw(st.integers(2, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        cell = st.sampled_from([0.0, 0.5, 1.0]) | QUARTERS | st.just(EXCLUDED_SCORE)
+        row = draw(st.lists(cell, min_size=dim, max_size=dim))
+        if draw(st.booleans()):
+            row[draw(st.integers(0, dim - 1))] = 1000.0
+        rows.append(row)
+    return np.array(rows)
 
 
 class TestForward:
@@ -80,6 +102,23 @@ class TestForward:
         r = np.random.default_rng(seed)
         z = r.normal(scale=3.0, size=(1, int(r.integers(2, 9))))
         np.testing.assert_allclose(project(z), sparsemax_rowloop(z), atol=1e-9)
+
+    @given(score_rows())
+    @example(np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 0.5]]))
+    @example(np.array([[1000.0, 1.0, 1.0, EXCLUDED_SCORE]]))
+    @example(np.array([[EXCLUDED_SCORE, 0.25, 0.25, EXCLUDED_SCORE]]))
+    @example(np.array([[EXCLUDED_SCORE, EXCLUDED_SCORE]]))
+    @settings(max_examples=200, deadline=None)
+    def test_support_size_matches_sort_oracle(self, z):
+        out = project(z)
+        for b, row in enumerate(z):
+            # the projection is shift-invariant; shifting by the row maximum
+            # keeps the rule's 1 + k * z_(k) from rounding away the 1 when
+            # every score is EXCLUDED_SCORE
+            shifted = row - row.max()
+            k, tau = sparsemax_sort_threshold(shifted)
+            assert np.count_nonzero(out[b]) == k
+            np.testing.assert_allclose(out[b], np.maximum(shifted - tau, 0.0), rtol=0, atol=1e-12)
 
     def test_exact_sparsity_appears(self, rng):
         # wide inputs should regularly zero out coordinates exactly

@@ -10,12 +10,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from attentab import autodiff as ad
+from attentab import tabnet
 from attentab.container import MODEL_MAGIC, read_container, write_container
 from attentab.data import RawTable, encode, fit_schema
 from attentab.errors import (
     AttentabError,
     ConfigError,
     EncodingError,
+    GraphError,
     ModelStateError,
     PersistenceError,
 )
@@ -32,7 +34,7 @@ from attentab.tabnet import (
 )
 from attentab.train import batch_loss
 
-from helpers import grad_check
+from helpers import grad_check, reference_eval_forward
 from conftest import continuous_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -223,7 +225,7 @@ class TestMasksAndPrior:
         assert all((d.data >= 0.0).all() for d in out.decisions)
         assert all(m.data.shape == (7, model.d_model) for m in out.masks)
 
-    def test_fixed_masks_localize_information(self, rng):
+    def test_fixed_masks_localize_information(self, monkeypatch):
         # zero the mask over one raw column in every step: perturbing that
         # column must not move the logits
         model, ds = small_model(n_steps=2)
@@ -235,8 +237,8 @@ class TestMasksAndPrior:
         mask /= mask.sum(axis=1, keepdims=True)
 
         def logits(X, step_mask):
-            # stub attentive transformers replay the fixed mask at every step
-            model.attentives = [lambda tape, a_prev, prior, training: ad.Tensor(step_mask)] * 2
+            # a stub sparsemax replays the fixed mask at every step
+            monkeypatch.setattr(tabnet, "sparsemax", lambda tape, z: ad.Tensor(step_mask))
             return model.forward(None, X, training=False).logits.data
 
         base = logits(X, mask)
@@ -308,10 +310,18 @@ class TestForwardComposition:
         d = ad.relu(None, ad.slice_cols(None, out, 0, cfg.n_d))
         logits = model.final(None, d)
 
+        # eval mode folds each batch norm into the layer before it, which
+        # reorders the float operations
         got = model.forward(None, X, training=False)
-        np.testing.assert_array_equal(got.logits.data, logits.data)
-        np.testing.assert_array_equal(got.masks[0].data, mask.data)
-        np.testing.assert_array_equal(got.decisions[0].data, d.data)
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.logits.data, logits.data, **close)
+        np.testing.assert_allclose(got.masks[0].data, mask.data, **close)
+        np.testing.assert_allclose(got.decisions[0].data, d.data, **close)
+
+    def test_eval_forward_with_a_tape_rejected(self):
+        model, ds = small_model()
+        with pytest.raises(GraphError, match="eval-mode"):
+            model.forward(ad.Tape(), ds.features, training=False)
 
     def test_chunked_prediction_matches_single_pass(self):
         model, ds = small_model()
@@ -333,6 +343,94 @@ class TestForwardComposition:
             arr_a.tobytes() != arr_c.tobytes()
             for (_, arr_a), (_, arr_c) in zip(a.state_arrays(), c.state_arrays())
         )
+
+
+def two_categorical_dataset(n_rows=40, seed=0):
+    """Two categorical columns (3 and 4 values) and two continuous ones."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        [
+            str(i),
+            rng.choice(["a", "b", "c"]),
+            rng.choice(["u", "v", "w", "z"]),
+            repr(float(rng.normal(3.0, 2.0))),
+            repr(float(rng.normal())),
+            f"c{rng.integers(3)}",
+        ]
+        for i in range(n_rows)
+    ]
+    t = RawTable(columns=["id", "cat", "kind", "x0", "x1", "label"], rows=rows)
+    return encode(t, fit_schema(t, "label"))
+
+
+def randomize_state(model, rng):
+    """Non-trivial BN statistics, scales, shifts and biases everywhere."""
+    for name, value in model.registry.items():
+        arr = value.data if isinstance(value, ad.Parameter) else value
+        if name.endswith(".running_var"):
+            arr[...] = 0.3 + 2.0 * rng.random(arr.shape)
+        elif name.endswith(".gamma"):
+            arr[...] = 0.5 + rng.random(arr.shape)
+        elif name.endswith((".running_mean", ".beta", "/b")):
+            arr[...] = rng.normal(scale=0.5, size=arr.shape)
+
+
+CLOSE = dict(rtol=1e-12, atol=1e-12)
+
+
+def assert_matches_reference(got, want):
+    np.testing.assert_allclose(got.logits.data, want.logits.data, **CLOSE)
+    for a, b in zip(got.masks, want.masks, strict=True):
+        np.testing.assert_allclose(a.data, b.data, **CLOSE)
+    for a, b in zip(got.decisions, want.decisions, strict=True):
+        np.testing.assert_allclose(a.data, b.data, **CLOSE)
+    np.testing.assert_allclose(got.sparsity.data, want.sparsity.data, **CLOSE)
+
+
+class TestEvalPlan:
+    """Eval mode folds every batch norm into the map before it; the layered
+    computation it replaced is kept in helpers as the oracle."""
+
+    @pytest.mark.parametrize("saturate", [False, True], ids=["relaxed", "saturated"])
+    @pytest.mark.parametrize("virtual_batch", [None, 128])
+    @pytest.mark.parametrize("embed_dims", [3, [2, 1]], ids=["int", "list"])
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    def test_matches_layered_reference(self, n_steps, embed_dims, virtual_batch, saturate):
+        ds = two_categorical_dataset()
+        cfg = TabNetConfig(
+            n_d=4, n_a=3, n_steps=n_steps, embed_dims=embed_dims,
+            virtual_batch=virtual_batch, gamma_relax=1.0 if saturate else 1.3, seed=4,
+        )
+        model = TabNetClassifier(cfg, ds.schema)
+        randomize_state(model, np.random.default_rng(n_steps))
+        if saturate:
+            for att in model.attentives:
+                att.fc.w.data *= 50.0  # wide scores saturate sparsemax to one-hot rows
+        X = ds.features.copy()
+        X[0, 1] = model.embeddings["kind"].data.shape[0] - 1  # reserved unseen code
+        got = model.forward(None, X, training=False)
+        want = reference_eval_forward(model, X)
+        assert_matches_reference(got, want)
+        if saturate and n_steps > 1:
+            prior = np.ones_like(want.masks[0].data)
+            for mask in want.masks[:-1]:
+                prior = prior * (1.0 - mask.data)
+            assert (prior == 0.0).any()  # exhausted priors reached the exclusion
+
+    def test_plan_follows_state_changes_between_calls(self):
+        model, ds = small_model()
+        X = ds.features
+        before = model.predict_logits(X)
+        model.registry["ft/2/own/0/fc/w"].data[0, 0] += 0.5
+        after_param = model.predict_logits(X)
+        assert not np.array_equal(after_param, before)
+        np.testing.assert_allclose(
+            after_param, reference_eval_forward(model, X).logits.data, **CLOSE
+        )
+        model.registry["att/0/bn.running_var"][...] *= 4.0
+        after_var = model.predict_logits(X)
+        assert not np.array_equal(after_var, after_param)
+        np.testing.assert_allclose(after_var, reference_eval_forward(model, X).logits.data, **CLOSE)
 
 
 class TestExplain:
