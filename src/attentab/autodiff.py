@@ -188,9 +188,13 @@ def glu(tape: Tape | None, x: Tensor) -> Tensor:
     a, gate = xd[:, :half], xd[:, half:]
     # exp(-gate) overflows to inf for gates below about -709; 1 / (1 + inf)
     # is then 0.0, within 1e-307 of the true sigmoid, so the overflow is
-    # expected and its warning would only read like a numeric failure
+    # expected and its warning would only read like a numeric failure. The
+    # sigmoid 1 / (1 + exp(-gate)) is built in one buffer.
+    sig = np.negative(gate)
     with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-gate))
+        np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     out = Tensor(a * sig)
     if tape is not None:
         def bwd(g):
@@ -216,13 +220,16 @@ def sparsemax(tape: Tape | None, z: Tensor) -> Tensor:
         # bad; classify as a numeric failure, not a programming error
         raise NumericsError("sparsemax: input must be finite")
     shifted = zd - zd.max(axis=1, keepdims=True)  # projection is shift-invariant
-    z_sorted = -np.sort(-shifted, axis=1)
+    z_sorted = np.sort(shifted, axis=1)[:, ::-1]  # descending
     cumsum = np.cumsum(z_sorted, axis=1)
     ranks = np.arange(1, zd.shape[1] + 1, dtype=np.float64)
-    support = 1.0 + ranks * z_sorted > cumsum
-    k = support.sum(axis=1)
+    # support test 1 + k * z_(k) > sum of the k largest, in one buffer
+    support = np.multiply(ranks, z_sorted)
+    support += 1.0
+    k = np.count_nonzero(np.greater(support, cumsum), axis=1)
     tau = (cumsum[np.arange(zd.shape[0]), k - 1] - 1.0) / k
-    out = Tensor(np.maximum(shifted - tau[:, None], 0.0))
+    shifted -= tau[:, None]
+    out = Tensor(np.maximum(shifted, 0.0, out=shifted))
     if tape is not None:
         pos = out.data > 0
 
@@ -472,9 +479,11 @@ class BatchNorm:
             stop = min(start + vb, n_rows)
             chunk = xd[start:stop]
             mean = chunk.mean(axis=0)
-            var = chunk.var(axis=0)  # biased; matches what eval mode consumes
+            d = chunk - mean
+            # biased, as eval mode consumes it; the float sequence np.var runs
+            var = (d * d).sum(axis=0) / len(chunk)
             inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = (chunk - mean) * inv
+            xhat = d * inv
             out[start:stop] = xhat * gamma + beta
             chunks.append((start, stop, xhat, inv))
             m = self.momentum

@@ -129,6 +129,31 @@ def sparsemax_bisect(z: np.ndarray, iters: int = 200) -> np.ndarray:
     return out
 
 
+def sparsemax_negate_sort(z: np.ndarray) -> np.ndarray:
+    """The sort-based forward `autodiff.sparsemax` ran before it became a
+    one-sort, in-place computation, kept verbatim as the bit-identity
+    oracle: negate, sort, negate back, then a fresh array per step."""
+    zd = np.asarray(z, dtype=np.float64)
+    shifted = zd - zd.max(axis=1, keepdims=True)
+    z_sorted = -np.sort(-shifted, axis=1)
+    cumsum = np.cumsum(z_sorted, axis=1)
+    ranks = np.arange(1, zd.shape[1] + 1, dtype=np.float64)
+    support = 1.0 + ranks * z_sorted > cumsum
+    k = support.sum(axis=1)
+    tau = (cumsum[np.arange(zd.shape[0]), k - 1] - 1.0) / k
+    return np.maximum(shifted - tau[:, None], 0.0)
+
+
+def glu_reciprocal(x: np.ndarray) -> np.ndarray:
+    """The forward `autodiff.glu` ran before it built its sigmoid in one
+    buffer, kept verbatim as the bit-identity oracle."""
+    half = x.shape[1] // 2
+    a, gate = x[:, :half], x[:, half:]
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-gate))
+    return a * sig
+
+
 def sparsemax_margin(z: np.ndarray) -> float:
     """Distance of the closest coordinate to its row's support boundary;
     inputs this close to a kink make finite differences invalid."""

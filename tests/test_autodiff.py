@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from attentab import autodiff as ad
 from attentab.errors import BatchTooSmallError, ConfigError, GraphError, ShapeError
 
-from helpers import FD_H, grad_check, op_fd_cases, weighted_sum_loss
+from helpers import FD_H, glu_reciprocal, grad_check, op_fd_cases, weighted_sum_loss
 
 
 # --------------------------------------------------------------------- tape
@@ -116,6 +116,15 @@ class TestForwardValues:
             warnings.simplefilter("error")
             out = ad.glu(None, ad.Tensor([[3.0, -1000.0]]))
         assert out.data[0, 0] == 0.0
+
+    def test_glu_bit_identical_to_reciprocal_sigmoid(self, rng):
+        x = rng.normal(scale=4.0, size=(1024, 48))
+        x[:, 24:30] = rng.uniform(-2000.0, -709.0, size=(1024, 6))  # exp(-gate) overflows
+        x[:, 30] = [-709.0, -709.5, -745.0, -1e300, 0.0, -0.0, 710.0, 1e300] * 128
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.glu(None, ad.Tensor(x)).data
+        assert np.array_equal(out, glu_reciprocal(x))
 
     def test_glu_rejects_odd_width(self, rng):
         with pytest.raises(ShapeError, match="even"):
@@ -242,6 +251,25 @@ class TestBatchNorm:
             chunk, want = x[start:stop], out[start:stop]
             manual = (chunk - chunk.mean(axis=0)) / np.sqrt(chunk.var(axis=0) + bn.eps)
             np.testing.assert_allclose(want, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("virtual_batch", [None, 128, 5])
+    def test_train_chunks_bit_identical_to_np_var(self, rng, virtual_batch):
+        x = rng.normal(loc=3.0, scale=2.0, size=(1030, 7))
+        bn = ad.BatchNorm(7, momentum=0.3, virtual_batch=virtual_batch)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=7)
+        bn.beta.data[...] = rng.normal(size=7)
+        out = bn(None, ad.Tensor(x), training=True).data
+        vb = virtual_batch or len(x)
+        running_mean, running_var = np.zeros(7), np.ones(7)
+        for start in range(0, len(x), vb):
+            chunk = x[start : start + vb]
+            mean, var = chunk.mean(axis=0), chunk.var(axis=0)
+            xhat = (chunk - mean) * (1.0 / np.sqrt(var + bn.eps))
+            assert np.array_equal(out[start : start + vb], xhat * bn.gamma.data + bn.beta.data)
+            running_mean = 0.7 * running_mean + 0.3 * mean
+            running_var = 0.7 * running_var + 0.3 * var
+        assert np.array_equal(bn.running_mean, running_mean)
+        assert np.array_equal(bn.running_var, running_var)
 
     def test_running_update_follows_momentum_formula(self, rng):
         bn = ad.BatchNorm(2, momentum=0.3)

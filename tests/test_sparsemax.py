@@ -13,6 +13,7 @@ from helpers import (
     grad_check,
     sparsemax_bisect,
     sparsemax_margin,
+    sparsemax_negate_sort,
     sparsemax_rowloop,
     sparsemax_sort_threshold,
     weighted_sum_loss,
@@ -119,6 +120,31 @@ class TestForward:
             k, tau = sparsemax_sort_threshold(shifted)
             assert np.count_nonzero(out[b]) == k
             np.testing.assert_allclose(out[b], np.maximum(shifted - tau, 0.0), rtol=0, atol=1e-12)
+
+    @given(score_rows())
+    @example(np.array([[EXCLUDED_SCORE, EXCLUDED_SCORE]]))
+    @example(np.array([[0.0, -0.0, 0.0, -0.25]]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_negate_sort(self, z):
+        assert np.array_equal(project(z), sparsemax_negate_sort(z))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_negate_sort_on_eval_blocks(self, seed):
+        # an eval chunk of pump-shaped scores: prior-scaled, with the columns
+        # of exhausted priors at EXCLUDED_SCORE, a few rows down to one
+        # column, and duplicated values so the sort meets ties
+        r = np.random.default_rng(seed)
+        prior = r.uniform(0.0, 1.3, size=(1024, 114))
+        prior[:, r.choice(114, size=20, replace=False)] = 0.0
+        prior[r.random((1024, 114)) < 0.2] = 0.0
+        prior[:8] = 0.0
+        prior[:8, 0] = 1.0
+        scores = prior * r.normal(scale=3.0, size=(1024, 114))
+        scores[:, 40:50] = scores[:, 30:40]
+        z = np.where(prior > 0.0, scores, EXCLUDED_SCORE)
+        got = project(z)
+        assert np.array_equal(got, sparsemax_negate_sort(z))
+        assert (got[:8, 0] == 1.0).all()
 
     def test_exact_sparsity_appears(self, rng):
         # wide inputs should regularly zero out coordinates exactly
