@@ -162,7 +162,9 @@ def linear(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     if b.data.shape != (wd.shape[1],):
         raise ShapeError(f"linear: b has shape {b.shape}, expected ({wd.shape[1]},)")
-    out = Tensor(xd @ wd + b.data)
+    z = xd @ wd
+    z += b.data
+    out = Tensor(z)
     if tape is not None:
         def bwd(g):
             return g @ wd.T, xd.T @ g, g.sum(axis=0)
@@ -199,8 +201,13 @@ def glu(tape: Tape | None, x: Tensor) -> Tensor:
     if tape is not None:
         def bwd(g):
             gx = np.empty_like(xd)
-            gx[:, :half] = g * sig
-            gx[:, half:] = g * a * sig * (1.0 - sig)
+            np.multiply(g, sig, out=gx[:, :half])
+            # g * a * sig * (1 - sig), left to right, in one contiguous
+            # buffer: in-place ops on the strided half run slower
+            ggate = g * a
+            ggate *= sig
+            ggate *= 1.0 - sig
+            gx[:, half:] = ggate
             return (gx,)
 
         tape.record("glu", (x,), out, bwd)
@@ -472,40 +479,51 @@ class BatchNorm:
                 f"batch_norm {self.name}: train mode needs at least 2 rows, got {n_rows}"
             )
         vb = self.virtual_batch or n_rows
-        gamma, beta = self.gamma.data, self.beta.data
+        gamma, beta, m = self.gamma.data, self.beta.data, self.momentum
+        # Each chunk is written straight into its rows of ``out`` and
+        # ``xhat``; every value is the float sequence of the textbook
+        # formulas (chunk.mean, np.var, (x - mean) * inv * gamma + beta).
         out = np.empty_like(xd)
-        chunks = []  # (start, stop, xhat, inv_std)
+        xhat = np.empty_like(xd)
+        chunks = []  # (start, stop, inv_std)
         for start in range(0, n_rows, vb):
             stop = min(start + vb, n_rows)
-            chunk = xd[start:stop]
-            mean = chunk.mean(axis=0)
-            d = chunk - mean
-            # biased, as eval mode consumes it; the float sequence np.var runs
-            var = (d * d).sum(axis=0) / len(chunk)
+            chunk, o, xh = xd[start:stop], out[start:stop], xhat[start:stop]
+            mean = chunk.sum(axis=0) / len(chunk)
+            np.subtract(chunk, mean, out=xh)
+            # biased, as eval mode consumes it; squared in the output rows
+            var = np.multiply(xh, xh, out=o).sum(axis=0) / len(chunk)
             inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = d * inv
-            out[start:stop] = xhat * gamma + beta
-            chunks.append((start, stop, xhat, inv))
-            m = self.momentum
-            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
-            self.running_var[...] = (1.0 - m) * self.running_var + m * var
+            xh *= inv
+            np.multiply(xh, gamma, out=o)
+            o += beta
+            chunks.append((start, stop, inv))
+            self.running_mean *= 1.0 - m
+            self.running_mean += m * mean
+            self.running_var *= 1.0 - m
+            self.running_var += m * var
         result = Tensor(out)
         if tape is not None:
             def bwd(g):
+                # gx = (inv / n) * (n * dxhat - dxhat.sum(0) - xhat * (dxhat * xhat).sum(0))
+                # with dxhat = g * gamma, through two chunk-sized buffers
                 gx = np.empty_like(g)
                 dgamma = np.zeros_like(gamma)
                 dbeta = np.zeros_like(beta)
-                for start, stop, xhat, inv in chunks:
-                    gc = g[start:stop]
+                rows = min(vb, n_rows)
+                buf_a, buf_b = np.empty((rows, g.shape[1])), np.empty((rows, g.shape[1]))
+                for start, stop, inv in chunks:
                     n = stop - start
+                    gc, xh, o = g[start:stop], xhat[start:stop], gx[start:stop]
+                    dxhat, tmp = buf_a[:n], buf_b[:n]
                     dbeta += gc.sum(axis=0)
-                    dgamma += (gc * xhat).sum(axis=0)
-                    dxhat = gc * gamma
-                    gx[start:stop] = (inv / n) * (
-                        n * dxhat
-                        - dxhat.sum(axis=0)
-                        - xhat * (dxhat * xhat).sum(axis=0)
-                    )
+                    dgamma += np.multiply(gc, xh, out=tmp).sum(axis=0)
+                    np.multiply(gc, gamma, out=dxhat)
+                    proj = np.multiply(dxhat, xh, out=tmp).sum(axis=0)
+                    np.multiply(n, dxhat, out=o)
+                    o -= dxhat.sum(axis=0)
+                    o -= np.multiply(xh, proj, out=tmp)
+                    o *= inv / n
                 return gx, dgamma, dbeta
 
             tape.record("batch_norm_train", (x, self.gamma, self.beta), result, bwd)
@@ -517,7 +535,15 @@ class BatchNorm:
 
 
 class Adam:
-    """Adam over a fixed parameter list; deterministic given identical inputs."""
+    """Adam over a fixed parameter list; deterministic given identical inputs.
+
+    The optimizer owns one flat float64 vector of parameter values and one of
+    gradients. On construction it copies each parameter into its slice and
+    rebinds the parameter's ``data`` and ``grad`` to reshaped views of it, so
+    a step is a few whole-vector ops and ``zero_grad`` one fill. Anything
+    that writes a parameter in place (the tape, ``load_state``) writes the
+    optimizer's vector too.
+    """
 
     def __init__(
         self,
@@ -538,25 +564,46 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        size = sum(p.data.size for p in self.params)
+        self._data = np.empty(size)
+        self._grad = np.empty(size)
+        start = 0
+        for p in self.params:
+            stop = start + p.data.size
+            self._data[start:stop] = p.data.reshape(-1)
+            self._grad[start:stop] = p.grad.reshape(-1)
+            p.data = self._data[start:stop].reshape(p.data.shape)
+            p.grad = self._grad[start:stop].reshape(p.grad.shape)
+            start = stop
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._update = np.empty(size)
+        self._denom = np.empty(size)
         self._t = 0
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._grad.fill(0.0)
 
     def step(self) -> None:
+        """m, v and the parameter move as per-parameter Adam computes them:
+        ``lr * (m / bc1) / (sqrt(v / bc2) + eps)``, elementwise, in that order."""
+        if not all(p.data.base is self._data for p in self.params):
+            # a later optimizer took the parameters over; stepping this one
+            # would move a vector no parameter reads
+            raise GraphError("Adam: parameters were rebound by another optimizer built over them")
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v, u, den = self._grad, self._m, self._v, self._update, self._denom
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=u)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=u)
+        v += np.multiply(u, g, out=u)
+        np.sqrt(np.divide(v, bc2, out=den), out=den)
+        den += self.eps
+        np.multiply(self.lr, np.divide(m, bc1, out=u), out=u)
+        self._data -= np.divide(u, den, out=u)
 
 
 SQRT_HALF = math.sqrt(0.5)

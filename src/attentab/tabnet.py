@@ -447,7 +447,9 @@ class TabNetClassifier:
     ):
         """Eval-mode forwards over bounded-memory row chunks of ``X``, or of
         ``X[indices]`` gathered one chunk at a time: yields (output slice,
-        ForwardOutput) pairs."""
+        ForwardOutput) pairs. A consumer drops each output before asking
+        for the next, so only one chunk's masks are alive at a time."""
+        check_int("batch_size", batch_size, 1)
         n = X.shape[0] if indices is None else len(indices)
         _require_rows(n)
         plan = _EvalPlan(self)
@@ -458,9 +460,11 @@ class TabNetClassifier:
 
     def predict_logits(self, X: np.ndarray, batch_size: int = EVAL_BATCH) -> np.ndarray:
         """Eval-mode logits, computed in bounded-memory chunks."""
-        return np.concatenate(
-            [out.logits.data for _, out in self._eval_chunks(X, batch_size)], axis=0
-        )
+        logits = np.empty((X.shape[0], self.n_classes))
+        for rows, out in self._eval_chunks(X, batch_size):
+            logits[rows] = out.logits.data
+            del out  # free this chunk's masks before the next is scored
+        return logits
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_logits(X), axis=1)
@@ -479,26 +483,12 @@ class TabNetClassifier:
         step_weights = np.empty((n_rows, n_steps))
         instance = np.empty((n_rows, len(attribution)))
         for rows, out in self._eval_chunks(X):
-            chunk_masks = [m.data for m in out.masks]
-            weights = np.stack([d.data.sum(axis=1) for d in out.decisions], axis=1)
-
-            embedded = np.zeros_like(chunk_masks[0])
-            for i, mask in enumerate(chunk_masks):
-                embedded += weights[:, i : i + 1] * mask
-                masks[i][rows] = mask
-            row_sums = embedded.sum(axis=1, keepdims=True)
-            # Rows whose every decision output is zero carry no weighting
-            # signal; fall back to the plain mask average (rows of which sum to 1).
-            degenerate = row_sums[:, 0] <= 0.0
-            if degenerate.any():
-                fallback = np.mean(chunk_masks, axis=0)
-                embedded[degenerate] = fallback[degenerate]
-                row_sums = embedded.sum(axis=1, keepdims=True)
-            embedded /= row_sums
-
-            step_weights[rows] = weights
-            for r, (_, cols) in enumerate(attribution):
-                instance[rows, r] = embedded[:, cols].sum(axis=1)
+            for i in range(n_steps):
+                masks[i][rows] = out.masks[i].data
+            # _attribute's working arrays die when it returns; dropping the
+            # output too leaves nothing of this chunk alive for the next
+            step_weights[rows] = _attribute(out, attribution, instance[rows])
+            del out
         return MaskReport(
             per_step_masks=masks,
             step_weights=step_weights,
@@ -506,6 +496,32 @@ class TabNetClassifier:
             global_importance=instance.mean(axis=0),
             feature_names=[name for name, _ in attribution],
         )
+
+
+def _attribute(
+    out: ForwardOutput, attribution: list[tuple[str, slice]], instance: np.ndarray
+) -> np.ndarray:
+    """Return one chunk's step weights (each step's summed decision output)
+    and write each row's importance of each raw column into ``instance``:
+    the masks averaged with those weights, rows normalized to sum to 1,
+    summed over each column's slice."""
+    chunk_masks = [m.data for m in out.masks]
+    weights = np.stack([d.data.sum(axis=1) for d in out.decisions], axis=1)
+    embedded = np.zeros_like(chunk_masks[0])
+    for i, mask in enumerate(chunk_masks):
+        embedded += weights[:, i : i + 1] * mask
+    row_sums = embedded.sum(axis=1, keepdims=True)
+    # Rows whose every decision output is zero carry no weighting
+    # signal; fall back to the plain mask average (rows of which sum to 1).
+    degenerate = row_sums[:, 0] <= 0.0
+    if degenerate.any():
+        fallback = np.mean(chunk_masks, axis=0)
+        embedded[degenerate] = fallback[degenerate]
+        row_sums = embedded.sum(axis=1, keepdims=True)
+    embedded /= row_sums
+    for r, (_, cols) in enumerate(attribution):
+        instance[:, r] = embedded[:, cols].sum(axis=1)
+    return weights
 
 
 # ---------------------------------------------------------- eval-mode plan

@@ -271,6 +271,7 @@ def evaluate(
         lv = batch_loss(None, out.logits, labels[rows], loss_spec)
         loss_sum += float(np.sum(lv.per_example.data))
         preds[rows] = np.argmax(out.logits.data, axis=1)
+        del out
     return (
         loss_sum / indices.size,
         accuracy(preds, labels),

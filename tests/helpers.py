@@ -154,6 +154,95 @@ def glu_reciprocal(x: np.ndarray) -> np.ndarray:
     return a * sig
 
 
+def glu_backward_reference(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The backward `autodiff.glu` ran before it wrote into its output
+    halves, kept verbatim as the bit-identity oracle."""
+    half = x.shape[1] // 2
+    a = x[:, :half]
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-x[:, half:]))
+    gx = np.empty_like(x)
+    gx[:, :half] = g * sig
+    gx[:, half:] = g * a * sig * (1.0 - sig)
+    return gx
+
+
+def batch_norm_train_reference(bn, x: np.ndarray):
+    """Train-mode forward of `autodiff.BatchNorm` as it ran before it wrote
+    chunks into preallocated buffers, kept verbatim as the bit-identity
+    oracle: ``chunk.mean``, a fresh array per step, and a backward of fresh
+    temporaries. Reads ``bn``'s gamma, beta, eps, momentum and virtual
+    batch, updates its running statistics, and returns the output and the
+    backward ``g -> (dx, dgamma, dbeta)``."""
+    gamma, beta = bn.gamma.data.copy(), bn.beta.data.copy()
+    n_rows = x.shape[0]
+    vb = bn.virtual_batch or n_rows
+    out = np.empty_like(x)
+    chunks = []
+    for start in range(0, n_rows, vb):
+        stop = min(start + vb, n_rows)
+        chunk = x[start:stop]
+        mean = chunk.mean(axis=0)
+        d = chunk - mean
+        var = (d * d).sum(axis=0) / len(chunk)
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xhat = d * inv
+        out[start:stop] = xhat * gamma + beta
+        chunks.append((start, stop, xhat, inv))
+        m = bn.momentum
+        bn.running_mean[...] = (1.0 - m) * bn.running_mean + m * mean
+        bn.running_var[...] = (1.0 - m) * bn.running_var + m * var
+
+    def backward(g):
+        gx = np.empty_like(g)
+        dgamma = np.zeros_like(gamma)
+        dbeta = np.zeros_like(beta)
+        for start, stop, xhat, inv in chunks:
+            gc = g[start:stop]
+            n = stop - start
+            dbeta += gc.sum(axis=0)
+            dgamma += (gc * xhat).sum(axis=0)
+            dxhat = gc * gamma
+            gx[start:stop] = (inv / n) * (
+                n * dxhat
+                - dxhat.sum(axis=0)
+                - xhat * (dxhat * xhat).sum(axis=0)
+            )
+        return gx, dgamma, dbeta
+
+    return out, backward
+
+
+class AdamReference:
+    """`autodiff.Adam` as it ran before it kept one flat vector: one m and
+    one v array per parameter and five numpy statements per parameter per
+    step, kept verbatim as the bit-identity oracle. Updates the given
+    parameters' own ``data`` arrays in place and never rebinds them."""
+
+    def __init__(self, params, lr=0.02, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self) -> None:
+        self._t += 1
+        bc1 = 1.0 - self.beta1**self._t
+        bc2 = 1.0 - self.beta2**self._t
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
 def sparsemax_margin(z: np.ndarray) -> float:
     """Distance of the closest coordinate to its row's support boundary;
     inputs this close to a kink make finite differences invalid."""

@@ -10,7 +10,20 @@ from hypothesis import strategies as st
 from attentab import autodiff as ad
 from attentab.errors import BatchTooSmallError, ConfigError, GraphError, ShapeError
 
-from helpers import FD_H, glu_reciprocal, grad_check, op_fd_cases, weighted_sum_loss
+from attentab.tabnet import TabNetClassifier, TabNetConfig
+from attentab.train import batch_loss
+
+from conftest import continuous_schema
+from helpers import (
+    FD_H,
+    AdamReference,
+    batch_norm_train_reference,
+    glu_backward_reference,
+    glu_reciprocal,
+    grad_check,
+    op_fd_cases,
+    weighted_sum_loss,
+)
 
 
 # --------------------------------------------------------------------- tape
@@ -125,6 +138,20 @@ class TestForwardValues:
             warnings.simplefilter("error")
             out = ad.glu(None, ad.Tensor(x)).data
         assert np.array_equal(out, glu_reciprocal(x))
+
+    def test_glu_backward_bit_identical_to_reference(self, rng):
+        x = rng.normal(scale=4.0, size=(1024, 48))
+        x[:, 24:30] = rng.uniform(-2000.0, -709.0, size=(1024, 6))
+        g = rng.normal(size=(1024, 24))
+        tape = ad.Tape()
+        ad.glu(tape, ad.Tensor(x))
+        (gx,) = tape._records[-1].backward(g)
+        assert np.array_equal(gx, glu_backward_reference(x, g))
+
+    def test_linear_bit_identical_to_matmul_plus_bias(self, rng):
+        x, w, b = rng.normal(size=(300, 17)), rng.normal(size=(17, 9)), rng.normal(size=9)
+        out = ad.linear(None, ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
+        assert np.array_equal(out, x @ w + b)
 
     def test_glu_rejects_odd_width(self, rng):
         with pytest.raises(ShapeError, match="even"):
@@ -271,6 +298,30 @@ class TestBatchNorm:
         assert np.array_equal(bn.running_mean, running_mean)
         assert np.array_equal(bn.running_var, running_var)
 
+    @pytest.mark.parametrize("virtual_batch", [None, 128, 5])
+    def test_train_mode_bit_identical_to_reference(self, rng, virtual_batch):
+        # 1,030 rows leave a 6-row trailing chunk at virtual batch 128; two
+        # calls check that the running statistics keep accumulating alike
+        F = 24
+        bn = ad.BatchNorm(F, momentum=0.3, virtual_batch=virtual_batch)
+        ref = ad.BatchNorm(F, momentum=0.3, virtual_batch=virtual_batch)
+        for p in (bn.gamma, ref.gamma):
+            p.data[...] = np.linspace(0.5, 1.5, F)
+        for p in (bn.beta, ref.beta):
+            p.data[...] = np.linspace(-1.0, 1.0, F)
+        for _ in range(2):
+            x = ad.Tensor(rng.normal(loc=3.0, scale=2.0, size=(1030, F)))
+            g = rng.normal(size=(1030, F))
+            tape = ad.Tape()
+            out = bn(tape, x, training=True).data
+            grads = tape._records[-1].backward(g)
+            want_out, want_backward = batch_norm_train_reference(ref, x.data)
+            assert np.array_equal(out, want_out)
+            assert np.array_equal(bn.running_mean, ref.running_mean)
+            assert np.array_equal(bn.running_var, ref.running_var)
+            for got, want in zip(grads, want_backward(g)):
+                assert np.array_equal(got, want)
+
     def test_running_update_follows_momentum_formula(self, rng):
         bn = ad.BatchNorm(2, momentum=0.3)
         x = rng.normal(size=(5, 2))
@@ -384,6 +435,39 @@ class TestAdam:
         opt_once.step()
         assert len(opt_twice.params) == 1
         np.testing.assert_array_equal(p_twice.data, p_once.data)
+
+    def test_model_trajectory_bit_identical_to_per_parameter_reference(self, rng):
+        # two same-seed models, one on the flat store and one on the old
+        # per-parameter Adam, follow the same real gradients; the shared
+        # fc and batch-norm affines collect gradient from every step
+        schema = continuous_schema(6, ["a", "b", "c"])
+        cfg = TabNetConfig(n_d=4, n_a=4, n_steps=2, virtual_batch=16, seed=3)
+        flat_model, ref_model = TabNetClassifier(cfg, schema), TabNetClassifier(cfg, schema)
+        assert flat_model.transformers[1].blocks[0].fc is flat_model.shared_fcs[0]
+        flat = ad.Adam(flat_model.parameters(), lr=0.05)
+        ref = AdamReference(ref_model.parameters(), lr=0.05)
+        X, y = rng.normal(size=(40, 6)), rng.integers(0, 3, size=40)
+        for lr in (0.05, 0.05, 0.01, 0.2, 0.2, 0.003):
+            flat.lr = ref.lr = lr
+            for model, opt in ((flat_model, flat), (ref_model, ref)):
+                tape = ad.Tape()
+                out = model.forward(tape, X, training=True)
+                loss = batch_loss(tape, out.logits, y, {"kind": "cce"}).scalar
+                opt.zero_grad()
+                tape.backward(ad.add(tape, loss, ad.scale(tape, out.sparsity, 1e-3)))
+                opt.step()
+            for (name, got), (_, want) in zip(flat_model.state_arrays(), ref_model.state_arrays()):
+                assert np.array_equal(got, want), name
+
+    def test_stepping_a_superseded_optimizer_raises(self):
+        p = ad.Parameter(np.zeros(3))
+        first = ad.Adam([p], lr=0.1)
+        second = ad.Adam([p], lr=0.1)
+        p.grad[...] = 1.0
+        with pytest.raises(GraphError, match="another optimizer"):
+            first.step()
+        second.step()
+        np.testing.assert_allclose(p.data, -0.1, atol=1e-8)
 
     def test_lr_is_mutable_between_steps(self):
         # constant gradient keeps m_hat / sqrt(v_hat) at 1, so each move is ~lr
