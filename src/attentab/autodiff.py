@@ -214,12 +214,62 @@ def glu(tape: Tape | None, x: Tensor) -> Tensor:
     return out
 
 
+# Sparsemax looks for each row's support in its SPARSEMAX_LEAD largest
+# scores first and widens only the rows whose support may reach past them.
+# TabNet masks keep few columns: on pump-shaped eval blocks a lead of 16 sent
+# 75% of a served model's rows to the full width, while 32 sent almost none.
+SPARSEMAX_LEAD = 32
+# Relative margin, against 1 + |sum of the lead scores|, by which the support
+# test must fail at the last lead column before a row's support counts as
+# ending there. Past that column the float test can only pass again through
+# rounding, of order width**2 * 2**-52 in the same units, far below it.
+SUPPORT_SLACK = 1e-9
+
+
+def _support_threshold(z_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort-rule threshold ``tau`` of each row of descending scores, with
+    both sides of the support test at the last column, ``1 + k * z_(k)``
+    and the sum of the k largest."""
+    cumsum = np.cumsum(z_sorted, axis=1)
+    ranks = np.arange(1, z_sorted.shape[1] + 1, dtype=np.float64)
+    # support test 1 + k * z_(k) > sum of the k largest, in one buffer
+    support = np.multiply(ranks, z_sorted)
+    support += 1.0
+    k = np.count_nonzero(np.greater(support, cumsum), axis=1)
+    tau = (cumsum[np.arange(z_sorted.shape[0]), k - 1] - 1.0) / k
+    return tau, support[:, -1], cumsum[:, -1]
+
+
 def sparsemax(tape: Tape | None, z: Tensor) -> Tensor:
     """Row-wise Euclidean projection onto the probability simplex.
 
     Rows come back non-negative, summing to one, and typically sparse.
     The backward routes gradient only through the support set: on support,
     g minus the support mean of g; zero elsewhere.
+
+    The threshold follows the sort rule of Martins & Astudillo (2016): with
+    the scores sorted in decreasing order, the support size k counts the
+    columns where ``1 + k * z_(k) > z_(1) + ... + z_(k)``, and ``tau =
+    (z_(1) + ... + z_(k) - 1) / k``. The rule runs on the
+    ``SPARSEMAX_LEAD`` leading sorted columns of every row. A row whose test
+    holds at the last of them, or fails there by less than
+    ``SUPPORT_SLACK``, runs it again over its full width, and that ``tau``
+    replaces the lead one. The result equals the full-width computation bit
+    for bit:
+
+    * Without rounding the test reads ``sum over i <= k of (z_(i) - z_(k))
+      < 1``. The sum never falls as k grows, so a row whose test fails at
+      column ``SPARSEMAX_LEAD`` has no support past it.
+    * ``np.cumsum`` adds in sequence, so the lead block's partial sums are
+      the same floats as the first ``SPARSEMAX_LEAD`` of the full width's,
+      and every test and ``tau`` of a row whose support ends in the lead
+      is computed from the same floats as over the full width.
+    * Rounding can let the test pass again past a column where it failed
+      by an ulp or so (scores tied at the threshold), and the full width
+      counts such columns. Rows that close to passing at the last lead
+      column take the full width, which is why ``SUPPORT_SLACK`` exists.
+
+    A row of width at most ``SPARSEMAX_LEAD`` takes the one full-width pass.
     """
     zd = _as2d("z", "sparsemax", z)
     if not np.all(np.isfinite(zd)):
@@ -228,13 +278,11 @@ def sparsemax(tape: Tape | None, z: Tensor) -> Tensor:
         raise NumericsError("sparsemax: input must be finite")
     shifted = zd - zd.max(axis=1, keepdims=True)  # projection is shift-invariant
     z_sorted = np.sort(shifted, axis=1)[:, ::-1]  # descending
-    cumsum = np.cumsum(z_sorted, axis=1)
-    ranks = np.arange(1, zd.shape[1] + 1, dtype=np.float64)
-    # support test 1 + k * z_(k) > sum of the k largest, in one buffer
-    support = np.multiply(ranks, z_sorted)
-    support += 1.0
-    k = np.count_nonzero(np.greater(support, cumsum), axis=1)
-    tau = (cumsum[np.arange(zd.shape[0]), k - 1] - 1.0) / k
+    tau, lhs, total = _support_threshold(z_sorted[:, :SPARSEMAX_LEAD])
+    if zd.shape[1] > SPARSEMAX_LEAD:
+        wide = lhs > total - SUPPORT_SLACK * (1.0 - total)
+        if wide.any():
+            tau[wide] = _support_threshold(z_sorted[wide])[0]
     shifted -= tau[:, None]
     out = Tensor(np.maximum(shifted, 0.0, out=shifted))
     if tape is not None:

@@ -359,24 +359,37 @@ class TabNetClassifier:
 
     def _column_values(self, X: np.ndarray) -> list[np.ndarray]:
         """Check an encoded matrix and split it by column: a continuous
-        column as floats, a categorical one as its int64 codes."""
-        X = np.asarray(X, dtype=np.float64)
+        column as floats, a categorical one as its int64 codes. Eval mode
+        calls this once per chunk, so the checks cost one pass over it."""
+        try:
+            X = np.asarray(X, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise EncodingError(f"encoded rows must form a numeric matrix: {exc}") from None
         if X.ndim != 2 or X.shape[1] != len(self._columns):
             raise EncodingError(
                 f"expected matrix with {len(self._columns)} columns, got shape {X.shape}"
             )
-        values = []
-        for j, (name, kind, _) in enumerate(self._columns):
-            col = X[:, j]
-            if kind == KIND_CATEGORICAL:
-                n_codes = self.embeddings[name].data.shape[0]
-                codes = col.astype(np.int64)
-                if np.any(codes != col):
-                    raise EncodingError(f"column {name!r}: non-integer categorical code")
-                if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
-                    raise EncodingError(f"column {name!r}: code out of range 0..{n_codes - 1}")
-                col = codes
-            values.append(col)
+        if not np.isfinite(X).all():
+            name = self._columns[int(np.argmin(np.isfinite(X).all(axis=0)))][0]
+            raise EncodingError(f"column {name!r}: non-finite value")
+        values = list(X.T)
+        cats = [j for j, (_, kind, _) in enumerate(self._columns) if kind == KIND_CATEGORICAL]
+        if cats and len(X):
+            names = [self._columns[j][0] for j in cats]
+            n_codes = np.array([self.embeddings[name].data.shape[0] for name in names])
+            floats = X[:, cats]
+            # range first: a cast of a code beyond int64 is undefined
+            bad = (floats.min(axis=0) < 0) | (floats.max(axis=0) >= n_codes)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise EncodingError(f"column {names[k]!r}: code out of range 0..{n_codes[k] - 1}")
+            codes = floats.astype(np.int64)
+            bad = (codes != floats).any(axis=0)
+            if bad.any():
+                name = names[int(np.argmax(bad))]
+                raise EncodingError(f"column {name!r}: non-integer categorical code")
+            for k, j in enumerate(cats):
+                values[j] = codes[:, k]
         return values
 
     def embed(self, tape: Tape | None, X: np.ndarray) -> Tensor:
@@ -409,7 +422,7 @@ class TabNetClassifier:
         if not training:
             if tape is not None:
                 raise GraphError("eval-mode forward has no backward; call it with tape=None")
-            _require_rows(len(X))
+            _require_rows(_row_count(X))
             return _EvalPlan(self).forward(X)
         cfg = self.config
         feats = self.input_bn(tape, self.embed(tape, X), training)
@@ -450,7 +463,7 @@ class TabNetClassifier:
         ForwardOutput) pairs. A consumer drops each output before asking
         for the next, so only one chunk's masks are alive at a time."""
         check_int("batch_size", batch_size, 1)
-        n = X.shape[0] if indices is None else len(indices)
+        n = _row_count(X) if indices is None else len(indices)
         _require_rows(n)
         plan = _EvalPlan(self)
         for start in range(0, n, batch_size):
@@ -460,7 +473,7 @@ class TabNetClassifier:
 
     def predict_logits(self, X: np.ndarray, batch_size: int = EVAL_BATCH) -> np.ndarray:
         """Eval-mode logits, computed in bounded-memory chunks."""
-        logits = np.empty((X.shape[0], self.n_classes))
+        logits = np.empty((_row_count(X), self.n_classes))
         for rows, out in self._eval_chunks(X, batch_size):
             logits[rows] = out.logits.data
             del out  # free this chunk's masks before the next is scored
@@ -477,7 +490,7 @@ class TabNetClassifier:
         ``predict_logits``; every quantity but the global mean is per row."""
         if not self.fitted:
             raise ModelStateError("explain requires a fitted model")
-        n_rows, n_steps = X.shape[0], self.config.n_steps
+        n_rows, n_steps = _row_count(X), self.config.n_steps
         attribution = self.attribution_map()
         masks = [np.empty((n_rows, self.d_model)) for _ in range(n_steps)]
         step_weights = np.empty((n_rows, n_steps))
@@ -525,6 +538,14 @@ def _attribute(
 
 
 # ---------------------------------------------------------- eval-mode plan
+
+
+def _row_count(X) -> int:
+    """Rows of an eval-mode input, which may be any sequence of rows."""
+    try:
+        return len(X)
+    except TypeError:
+        raise EncodingError(f"expected a matrix of encoded rows, got {type(X).__name__}") from None
 
 
 def _require_rows(n: int) -> None:

@@ -144,6 +144,25 @@ def sparsemax_negate_sort(z: np.ndarray) -> np.ndarray:
     return np.maximum(shifted - tau[:, None], 0.0)
 
 
+def sparsemax_negate_sort_op(tape: Tape | None, z: Tensor) -> Tensor:
+    """A taped sparsemax whose forward is :func:`sparsemax_negate_sort`
+    (every row over its full width) and whose backward is the formula of
+    `autodiff.sparsemax`, so a model trained through it is the oracle for
+    one trained through the library op."""
+    out = Tensor(sparsemax_negate_sort(z.data))
+    if tape is not None:
+        pos = out.data > 0
+
+        def bwd(g):
+            mean_on_support = (g * pos).sum(axis=1, keepdims=True) / pos.sum(
+                axis=1, keepdims=True
+            )
+            return (np.where(pos, g - mean_on_support, 0.0),)
+
+        tape.record("sparsemax", (z,), out, bwd)
+    return out
+
+
 def glu_reciprocal(x: np.ndarray) -> np.ndarray:
     """The forward `autodiff.glu` ran before it built its sigmoid in one
     buffer, kept verbatim as the bit-identity oracle."""

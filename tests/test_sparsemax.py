@@ -6,14 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attentab import autodiff as ad
+from attentab import tabnet
+from attentab import train as tr
+from attentab.autodiff import SPARSEMAX_LEAD as LEAD
+from attentab.data import stratified_split
 from attentab.errors import NumericsError
-from attentab.tabnet import EXCLUDED_SCORE
+from attentab.synthetic import dataset_from_arrays, make_classification
+from attentab.tabnet import EXCLUDED_SCORE, TabNetClassifier, TabNetConfig
 
 from helpers import (
     grad_check,
     sparsemax_bisect,
     sparsemax_margin,
     sparsemax_negate_sort,
+    sparsemax_negate_sort_op,
     sparsemax_rowloop,
     sparsemax_sort_threshold,
     weighted_sum_loss,
@@ -42,6 +48,75 @@ def score_rows(draw):
             row[draw(st.integers(0, dim - 1))] = 1000.0
         rows.append(row)
     return np.array(rows)
+
+
+def support_row(width, k, seed):
+    """Dyadic scores whose support is exactly their k largest: those lie
+    within 1 / (2k) of each other, so the sort rule holds at k, and the rest
+    sit at least 1 below them or at EXCLUDED_SCORE, so it fails at k + 1.
+    Columns are shuffled."""
+    r = np.random.default_rng(seed)
+    top = -r.integers(0, 2**12 // (2 * k) + 1, size=k) / 2**12
+    tail = top.min() - 1.0 - r.integers(0, 40, size=width - k) / 4
+    tail[r.random(width - k) < 0.3] = EXCLUDED_SCORE
+    return r.permutation(np.concatenate([top, tail]))
+
+
+@st.composite
+def wide_rows(draw):
+    """Rows as wide as LEAD - 1 to 130 columns: supports of exactly
+    LEAD - 1, LEAD, LEAD + 1 or any size, all-equal rows (full support), one
+    dominant score, tied quarter steps with EXCLUDED_SCORE columns, and
+    near-flat normal scores whose sort rule meets rounding. Returns the rows
+    and each row's known support size (None where it is not known)."""
+    width = draw(st.integers(LEAD - 1, 130))
+    rows, sizes = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["support", "flat", "dominant", "ties", "normal"]))
+        size = None
+        if kind == "support":
+            sizes_near_lead = st.sampled_from([LEAD - 1, LEAD, LEAD + 1])
+            size = min(draw(sizes_near_lead | st.integers(1, width)), width)
+            row = support_row(width, size, draw(st.integers(0, 2**32 - 1)))
+        elif kind == "flat":
+            row, size = np.full(width, draw(QUARTERS)), width
+        elif kind == "normal":
+            r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            row = r.normal(scale=draw(st.sampled_from([0.005, 0.02, 0.05])), size=width)
+        else:
+            ties = st.sampled_from([0.0, 0.25, 0.5]) | st.just(EXCLUDED_SCORE)
+            cell = QUARTERS if kind == "dominant" else ties
+            row = np.array(draw(st.lists(cell, min_size=width, max_size=width)))
+            if kind == "dominant":
+                row[draw(st.integers(0, width - 1))] = 1000.0
+                size = 1
+        rows.append(row)
+        sizes.append(size)
+    return np.array(rows), sizes
+
+
+def lead_edge_rows(width):
+    """Rows of ``width`` columns whose supports are LEAD - 1, LEAD and
+    LEAD + 1 wide."""
+    sizes = [k for k in (LEAD - 1, LEAD, LEAD + 1) if k <= width]
+    return np.array([support_row(width, k, seed) for seed, k in enumerate(sizes)]), sizes
+
+
+def rounding_reopens_rows(n, seed=0):
+    """Rows whose float sort rule fails at column LEAD by an ulp or so and
+    holds again after it. Exactly, the LEAD largest scores lie 1 above the
+    LEAD-th one in sum, and the next four tie with it."""
+    r = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < n:
+        gaps = np.sort(r.dirichlet(np.ones(LEAD - 1)))[::-1]
+        for ulps in range(-4, 5):
+            edge = -gaps[0] + ulps * np.spacing(gaps[0])
+            row = np.concatenate([gaps - gaps[0], np.full(4, edge), np.full(10, edge - 5.0)])
+            test = 1.0 + np.arange(1, row.size + 1) * row > np.cumsum(row)
+            if not test[LEAD - 1] and test[LEAD:].any():
+                rows.append(r.permutation(row))
+    return np.array(rows[:n])
 
 
 class TestForward:
@@ -128,11 +203,36 @@ class TestForward:
     def test_bit_identical_to_negate_sort(self, z):
         assert np.array_equal(project(z), sparsemax_negate_sort(z))
 
+    @given(wide_rows())
+    @example(lead_edge_rows(LEAD - 1))
+    @example(lead_edge_rows(LEAD))
+    @example(lead_edge_rows(LEAD + 1))
+    @example(lead_edge_rows(130))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_negate_sort_on_wide_rows(self, case):
+        # rows wider than SPARSEMAX_LEAD: the lead pass alone must decide
+        # rows whose support ends inside it, and the full-width pass every
+        # other row, as the full-width computation does
+        z, sizes = case
+        got = project(z)
+        assert np.array_equal(got, sparsemax_negate_sort(z))
+        for row, size in zip(got, sizes):
+            if size is not None:
+                assert np.count_nonzero(row) == size
+
+    def test_bit_identical_where_rounding_reopens_the_support(self):
+        # the float sort rule passes again past a failing last lead column
+        # here; over the full width those later columns count, so these rows
+        # must not be decided by the lead pass alone
+        z = rounding_reopens_rows(64)
+        assert np.array_equal(project(z), sparsemax_negate_sort(z))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_identical_to_negate_sort_on_eval_blocks(self, seed):
         # an eval chunk of pump-shaped scores: prior-scaled, with the columns
         # of exhausted priors at EXCLUDED_SCORE, a few rows down to one
-        # column, and duplicated values so the sort meets ties
+        # column, near-flat rows whose support is wider than the lead, and
+        # duplicated values so the sort meets ties
         r = np.random.default_rng(seed)
         prior = r.uniform(0.0, 1.3, size=(1024, 114))
         prior[:, r.choice(114, size=20, replace=False)] = 0.0
@@ -140,11 +240,13 @@ class TestForward:
         prior[:8] = 0.0
         prior[:8, 0] = 1.0
         scores = prior * r.normal(scale=3.0, size=(1024, 114))
+        scores[8:72] *= 0.002
         scores[:, 40:50] = scores[:, 30:40]
         z = np.where(prior > 0.0, scores, EXCLUDED_SCORE)
         got = project(z)
         assert np.array_equal(got, sparsemax_negate_sort(z))
         assert (got[:8, 0] == 1.0).all()
+        assert (np.count_nonzero(got[8:72], axis=1) > LEAD).all()
 
     def test_exact_sparsity_appears(self, rng):
         # wide inputs should regularly zero out coordinates exactly
@@ -183,3 +285,40 @@ class TestBackward:
         )
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.zeros((1, 2)))
+
+
+class TestTraining:
+    def test_fit_matches_full_width_oracle(self, monkeypatch):
+        # d_model 40 > SPARSEMAX_LEAD; small attentive BN scales start the
+        # masks near-flat, so training meets supports on both sides of the
+        # lead, and every array of the trained model must match a fit whose
+        # sparsemax runs each row over its full width
+        features, labels, _ = make_classification(n_rows=400, n_noise=35, seed=3)
+        ds = dataset_from_arrays(features, labels)
+        split = stratified_split(ds, 0.25, 3)
+        supports = []
+
+        def fit():
+            model = TabNetClassifier(TabNetConfig(n_d=4, n_a=4, n_steps=2, seed=3), ds.schema)
+            assert model.d_model > LEAD
+            for att in model.attentives:
+                att.bn.gamma.data[:] = 0.01
+            cfg = tr.TrainConfig(max_epochs=2, batch_size=64, patience=5, lr_patience=5, seed=3)
+            report = tr.fit(model, ds, split, cfg)
+            return model.snapshot(), report.records[-1].val_loss
+
+        def recording(tape, z):
+            out = ad.sparsemax(tape, z)
+            supports.append(np.count_nonzero(out.data, axis=1))
+            return out
+
+        monkeypatch.setattr(tabnet, "sparsemax", recording)
+        got, got_loss = fit()
+        monkeypatch.setattr(tabnet, "sparsemax", sparsemax_negate_sort_op)
+        want, want_loss = fit()
+        supports = np.concatenate(supports)
+        assert (supports > LEAD).any() and (supports <= LEAD).any()
+        assert got_loss == want_loss
+        assert got.keys() == want.keys()
+        for name in got:
+            assert np.array_equal(got[name], want[name]), name

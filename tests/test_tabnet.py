@@ -507,6 +507,37 @@ class TestExplain:
         with pytest.raises(ConfigError, match="empty"):
             model.forward(None, empty, training=False)
 
+    def test_rows_as_lists_score_like_the_matrix(self):
+        model, ds = self.fitted()
+        rows = ds.features.tolist()
+        assert np.array_equal(model.predict_logits(rows), model.predict_logits(ds.features))
+        want = model.explain(ds.features).instance_importance
+        assert np.array_equal(model.explain(rows).instance_importance, want)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (lambda X: [list(X[0]), list(X[1, :2])], "numeric matrix"),  # ragged
+            (lambda X: [["a", "0.5", "1.0"]], "numeric matrix"),
+            (lambda X: [[0.0, None, 1.0]], "'x0': non-finite"),  # None reads as NaN
+            (lambda X: 3.0, "matrix of encoded rows"),
+            (lambda X: np.where(np.arange(3) == 0, np.nan, X), "'cat': non-finite"),
+            (lambda X: np.where(np.arange(3) == 1, np.nan, X), "'x0': non-finite"),
+            (lambda X: np.where(np.arange(3) == 2, -np.inf, X), "'x1': non-finite"),
+            (lambda X: np.where(np.arange(3) == 0, 1e30, X), "'cat': code out of range"),
+        ],
+    )
+    def test_bad_rows_raise_encoding_error(self, bad, match):
+        # checked before any numpy call can fail untyped, warn on a cast, or
+        # let a non-finite value reach sparsemax as a numeric failure
+        model, ds = self.fitted()
+        X = bad(ds.features[:4])
+        for score in (model.predict_logits, model.explain, model.predict):
+            with pytest.raises(EncodingError, match=match):
+                score(X)
+        with pytest.raises(EncodingError, match=match):
+            model.forward(None, X, training=False)
+
     def test_rows_beyond_one_chunk_match_separate_calls(self):
         model, ds = self.fitted()
         rng = np.random.default_rng(3)
