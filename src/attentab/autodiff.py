@@ -272,17 +272,24 @@ def sparsemax(tape: Tape | None, z: Tensor) -> Tensor:
     A row of width at most ``SPARSEMAX_LEAD`` takes the one full-width pass.
     """
     zd = _as2d("z", "sparsemax", z)
-    if not np.all(np.isfinite(zd)):
+    z_sorted = np.sort(zd, axis=1)  # NaN sorts last, so both ends show a non-finite row
+    if not np.isfinite(z_sorted[:, [0, -1]]).all():
         # non-finite scores mean upstream state has already gone numerically
         # bad; classify as a numeric failure, not a programming error
         raise NumericsError("sparsemax: input must be finite")
-    shifted = zd - zd.max(axis=1, keepdims=True)  # projection is shift-invariant
-    z_sorted = np.sort(shifted, axis=1)[:, ::-1]  # descending
-    tau, lhs, total = _support_threshold(z_sorted[:, :SPARSEMAX_LEAD])
+    # shift-invariant: shift each row by its maximum, its last sorted column,
+    # in the columns the rule reads; subtraction is monotone, so it commutes with sorting
+    top = z_sorted[:, -1:].copy()
+    lead = z_sorted[:, -SPARSEMAX_LEAD:]
+    lead -= top
+    tau, lhs, total = _support_threshold(lead[:, ::-1])
     if zd.shape[1] > SPARSEMAX_LEAD:
         wide = lhs > total - SUPPORT_SLACK * (1.0 - total)
         if wide.any():
-            tau[wide] = _support_threshold(z_sorted[wide])[0]
+            rows = z_sorted[wide]
+            rows[:, :-SPARSEMAX_LEAD] -= top[wide]
+            tau[wide] = _support_threshold(rows[:, ::-1])[0]
+    shifted = np.subtract(zd, top, out=z_sorted)  # the sort's buffer is free again
     shifted -= tau[:, None]
     out = Tensor(np.maximum(shifted, 0.0, out=shifted))
     if tape is not None:
@@ -346,6 +353,22 @@ def add_const(tape: Tape | None, x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data + c)
     if tape is not None:
         tape.record("add_const", (x,), out, lambda g: (g,))
+    return out
+
+
+def relax_prior(tape: Tape | None, prior: Tensor | None, mask: Tensor, gamma: float) -> Tensor:
+    """The decision-step prior update ``prior * (gamma - mask)`` as one record;
+    ``prior=None`` is the all-ones prior before the first step."""
+    update = gamma - mask.data
+    if prior is not None:
+        _same_shape("relax_prior", prior, mask)
+        update *= prior.data
+    out = Tensor(update)
+    if tape is not None and prior is None:
+        tape.record("relax_prior", (mask,), out, lambda g: (g * -1.0,))
+    elif tape is not None:
+        md, pd = mask.data, prior.data
+        tape.record("relax_prior", (prior, mask), out, lambda g: (g * (gamma - md), (g * pd) * -1.0))
     return out
 
 
@@ -451,15 +474,13 @@ def slice_cols(tape: Tape | None, x: Tensor, start: int, stop: int) -> Tensor:
 class BatchNorm:
     """Per-feature normalization with running statistics.
 
-    Train mode normalizes each virtual batch (a fixed-size chunk of rows;
-    the trailing remainder forms its own chunk) to zero mean and unit
+    A call (train mode) normalizes each virtual batch (a fixed-size chunk of
+    rows; the trailing remainder forms its own chunk) to zero mean and unit
     variance before the affine map, and folds the chunk statistics into the
-    running estimates with the given momentum. Eval mode normalizes with the
-    running statistics. ``virtual_batch=None`` means one chunk spanning the
-    whole batch. The running variance stored is the biased (1/n) estimate,
-    so momentum 1.0 makes a following eval pass reproduce the train output.
-    Eval mode is the constant affine map of :meth:`eval_affine`; it records
-    nothing, so it runs without a tape.
+    running estimates with the given momentum. ``virtual_batch=None`` means
+    one chunk spanning the whole batch. Eval mode is the affine map of
+    :meth:`eval_affine` over the running statistics, whose variance is the
+    biased (1/n) estimate, so with momentum 1.0 it reproduces the call.
     """
 
     def __init__(
@@ -496,22 +517,6 @@ class BatchNorm:
         self.virtual_batch = virtual_batch
         self.name = name
 
-    def __call__(self, tape: Tape | None, x: Tensor, training: bool) -> Tensor:
-        xd = _as2d("x", "batch_norm", x)
-        if xd.shape[1] != self.gamma.data.shape[0]:
-            raise ShapeError(
-                f"batch_norm {self.name}: got {xd.shape[1]} features, "
-                f"expected {self.gamma.data.shape[0]}"
-            )
-        if training:
-            return self._train_forward(tape, x)
-        if tape is not None:
-            raise GraphError(
-                f"batch_norm {self.name}: eval mode has no backward; call it with tape=None"
-            )
-        scale, shift = self.eval_affine()
-        return Tensor(xd * scale + shift)
-
     def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval mode as ``x * scale + shift``: with s = gamma / sqrt(running_var
         + eps), scale is s and shift is beta - running_mean * s. A linear layer
@@ -519,8 +524,13 @@ class BatchNorm:
         s = self.gamma.data / np.sqrt(self.running_var + self.eps)
         return s, self.beta.data - self.running_mean * s
 
-    def _train_forward(self, tape: Tape | None, x: Tensor) -> Tensor:
-        xd = x.data
+    def __call__(self, tape: Tape | None, x: Tensor) -> Tensor:
+        xd = _as2d("x", "batch_norm", x)
+        if xd.shape[1] != self.gamma.data.shape[0]:
+            raise ShapeError(
+                f"batch_norm {self.name}: got {xd.shape[1]} features, "
+                f"expected {self.gamma.data.shape[0]}"
+            )
         n_rows = xd.shape[0]
         if n_rows < 2:
             raise BatchTooSmallError(

@@ -108,9 +108,11 @@ def join_on_id(values: RawTable, labels: RawTable, key: str = "id") -> RawTable:
     shared = [c for c in label_cols if c in values.columns]
     if shared:
         raise IngestionError(f"column(s) {shared} appear in both tables")
-    by_key: dict[str | None, list[str | None]] = {}
-    for row in labels.rows:
+    by_key: dict[str, list[str | None]] = {}
+    for i, row in enumerate(labels.rows):
         k = row[key_j]
+        if k is None:
+            raise IngestionError(f"labels table: data row {i + 1} has no {key!r} value")
         if k in by_key:
             raise IngestionError(f"duplicate {key}={k!r} in labels table")
         by_key[k] = row[:key_j] + row[key_j + 1 :]
@@ -118,6 +120,9 @@ def join_on_id(values: RawTable, labels: RawTable, key: str = "id") -> RawTable:
     try:
         joined_rows = [row + by_key[row[vkey_j]] for row in values.rows]
     except KeyError as exc:
+        if exc.args[0] is None:
+            i = [row[vkey_j] for row in values.rows].index(None)
+            raise IngestionError(f"values table: data row {i + 1} has no {key!r} value") from None
         raise IngestionError(f"{key}={exc.args[0]!r} has no matching label row") from None
     return RawTable(columns=values.columns + label_cols, rows=joined_rows)
 

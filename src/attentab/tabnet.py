@@ -5,7 +5,9 @@ then runs a sequence of decision steps. Each step selects features with a
 sparsemax mask produced by an attentive transformer (scaled by a cumulative
 prior so features get "spent"), transforms the masked features through a
 GLU stack, and contributes relu(d) to the aggregate decision. Mask entropy
-is returned as a sparsity penalty for the training loss.
+is returned as a sparsity penalty for the training loss. Train and eval
+mode run one step loop (:func:`_decision_steps`); eval mode differs only in
+its maps, with every batch norm folded in, and in skipping the penalty.
 
 Conventions the original TabNet write-up leaves open follow the common
 reference implementation: prior update P <- P * (gamma_relax - M), residual
@@ -16,6 +18,7 @@ penalty, and ghost batch normalization inside the transformer blocks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .autodiff import (
     mul,
     reduce_sum,
     register,
+    relax_prior,
     relu,
     scale,
     slice_cols,
@@ -156,8 +160,8 @@ class GLUBlock:
             registry=registry,
         )
 
-    def __call__(self, tape: Tape | None, x: Tensor, training: bool) -> Tensor:
-        return glu(tape, self.bn(tape, self.fc(tape, x), training))
+    def __call__(self, tape: Tape | None, x: Tensor) -> Tensor:
+        return glu(tape, self.bn(tape, self.fc(tape, x)))
 
 
 class FeatureTransformer:
@@ -169,15 +173,15 @@ class FeatureTransformer:
     def __init__(self, blocks: list[GLUBlock]):
         self.blocks = blocks
 
-    def __call__(self, tape: Tape | None, x: Tensor, training: bool) -> Tensor:
-        h = self.blocks[0](tape, x, training)
+    def __call__(self, tape: Tape | None, x: Tensor) -> Tensor:
+        h = self.blocks[0](tape, x)
         for block in self.blocks[1:]:
-            h = scale(tape, add(tape, block(tape, h, training), h), SQRT_HALF)
+            h = scale(tape, add(tape, block(tape, h), h), SQRT_HALF)
         return h
 
 
 class AttentiveTransformer:
-    """Produces the step mask: sparsemax(prior * BN(FC(a_prev)))."""
+    """A step's feature scores before the prior: BN(FC(a_prev))."""
 
     def __init__(
         self,
@@ -193,13 +197,8 @@ class AttentiveTransformer:
             d_features, virtual_batch=virtual_batch, name=f"{name}/bn", registry=registry
         )
 
-    def __call__(self, tape: Tape | None, a_prev: Tensor, prior: Tensor, training: bool) -> Tensor:
-        h = self.bn(tape, self.fc(tape, a_prev), training)
-        scores = mul(tape, prior, h)
-        keep = prior.data > 0.0
-        if not keep.all():
-            scores = mask_fill(tape, scores, keep, EXCLUDED_SCORE)
-        return sparsemax(tape, scores)
+    def __call__(self, tape: Tape | None, a_prev: Tensor) -> Tensor:
+        return self.bn(tape, self.fc(tape, a_prev))
 
 
 @dataclass
@@ -414,46 +413,18 @@ class TabNetClassifier:
 
     def forward(self, tape: Tape | None, X: np.ndarray, training: bool) -> ForwardOutput:
         """Full pipeline: embed, normalize, then n_steps masked decision steps.
-
-        Eval mode (``training=False``) runs tape-free through an
-        :class:`_EvalPlan` folded from the current parameters and running
-        statistics, and leaves ``sparsity`` out: the penalty only feeds
-        training gradients."""
+        Eval mode (``training=False``) runs tape-free over an :class:`_EvalPlan`
+        folded from the current parameters and running statistics."""
         if not training:
             if tape is not None:
                 raise GraphError("eval-mode forward has no backward; call it with tape=None")
             _require_rows(_row_count(X))
             return _EvalPlan(self).forward(X)
-        cfg = self.config
-        feats = self.input_bn(tape, self.embed(tape, X), training)
-        B = feats.data.shape[0]
-
-        split = self.transformers[0](tape, feats, training)
-        a_prev = slice_cols(tape, split, cfg.n_d, cfg.n_d + cfg.n_a)
-        prior = Tensor(np.ones((B, self.d_model)))
-
-        masks: list[Tensor] = []
-        decisions: list[Tensor] = []
-        agg: Tensor | None = None
-        entropy_sum: Tensor | None = None
-        for i in range(cfg.n_steps):
-            mask = self.attentives[i](tape, a_prev, prior, training)
-            prior = mul(tape, prior, add_const(tape, scale(tape, mask, -1.0), cfg.gamma_relax))
-            masks.append(mask)
-
-            masked = mul(tape, mask, feats)
-            out = self.transformers[i + 1](tape, masked, training)
-            d = relu(tape, slice_cols(tape, out, 0, cfg.n_d))
-            a_prev = slice_cols(tape, out, cfg.n_d, cfg.n_d + cfg.n_a)
-            decisions.append(d)
-            agg = d if agg is None else add(tape, agg, d)
-
-            ent = reduce_sum(tape, mul(tape, mask, log(tape, add_const(tape, mask, SPARSITY_EPS))))
-            entropy_sum = ent if entropy_sum is None else add(tape, entropy_sum, ent)
-
-        logits = self.final(tape, agg)
-        sparsity = scale(tape, entropy_sum, -1.0 / (cfg.n_steps * B))
-        return ForwardOutput(logits=logits, masks=masks, decisions=decisions, sparsity=sparsity)
+        feats = self.input_bn(tape, self.embed(tape, X))
+        return _decision_steps(
+            tape, self, feats, lambda t, x: self.transformers[t](tape, x),
+            lambda i, a_prev: self.attentives[i](tape, a_prev), training=True,
+        )
 
     def _eval_chunks(
         self, X: np.ndarray, batch_size: int = EVAL_BATCH, indices: np.ndarray | None = None
@@ -537,6 +508,48 @@ def _attribute(
     return weights
 
 
+def _decision_steps(
+    tape: Tape | None, model: TabNetClassifier, feats: Tensor,
+    transform: Callable[[int, Tensor], Tensor], attend: Callable[[int, Tensor], Tensor],
+    training: bool,
+) -> ForwardOutput:
+    """The decision steps of both modes over normalized features, through
+    feature transformer ``transform(t, x)`` (0 is the initial splitter) and
+    step i's scores before the prior, ``attend(i, a_prev)``, into the
+    model's output layer. Train mode also sums the mask entropy."""
+    cfg = model.config
+    n_d, n_a = cfg.n_d, cfg.n_a
+    a_prev = slice_cols(tape, transform(0, feats), n_d, n_d + n_a)
+    prior = agg = entropy_sum = None  # the prior is all ones before the first step
+    masks, decisions = [], []
+    for i in range(cfg.n_steps):
+        scores = attend(i, a_prev)
+        if prior is not None:
+            scores = mul(tape, prior, scores)
+            keep = prior.data > 0.0
+            if not keep.all():
+                scores = mask_fill(tape, scores, keep, EXCLUDED_SCORE)
+        mask = sparsemax(tape, scores)
+        prior = relax_prior(tape, prior, mask, cfg.gamma_relax)
+        masks.append(mask)
+
+        out = transform(i + 1, mul(tape, mask, feats))
+        d = relu(tape, slice_cols(tape, out, 0, n_d))
+        a_prev = slice_cols(tape, out, n_d, n_d + n_a)
+        decisions.append(d)
+        agg = d if agg is None else add(tape, agg, d)
+
+        if training:
+            ent = reduce_sum(tape, mul(tape, mask, log(tape, add_const(tape, mask, SPARSITY_EPS))))
+            entropy_sum = ent if entropy_sum is None else add(tape, entropy_sum, ent)
+
+    logits = model.final(tape, agg)
+    sparsity = None
+    if training:
+        sparsity = scale(tape, entropy_sum, -1.0 / (cfg.n_steps * feats.data.shape[0]))
+    return ForwardOutput(logits=logits, masks=masks, decisions=decisions, sparsity=sparsity)
+
+
 # ---------------------------------------------------------- eval-mode plan
 
 
@@ -554,22 +567,15 @@ def _require_rows(n: int) -> None:
         raise ConfigError("cannot score an empty row set")
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b`` with the bias added in place."""
-    z = x @ w
-    z += b
-    return z
-
-
-def _fold(fc: LinearLayer, bn: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
+def _fold(fc: LinearLayer, bn: BatchNorm) -> tuple[Tensor, Tensor]:
     """``bn(fc(x))`` in eval mode as one linear map ``x @ w + b``."""
     scale, shift = bn.eval_affine()
-    return fc.w.data * scale, fc.b.data * scale + shift
+    return Tensor(fc.w.data * scale), Tensor(fc.b.data * scale + shift)
 
 
 class _EvalPlan:
-    """Eval-mode forward of a model over plain arrays, with every batch norm
-    folded into the map before it.
+    """Eval-mode blocks of a model for :func:`_decision_steps`, with every
+    batch norm folded into the map before it.
 
     Each GLU block's and each attentive transformer's fc + BN becomes one
     linear layer (:func:`_fold`). ``input_bn`` folds into every row of each
@@ -577,9 +583,9 @@ class _EvalPlan:
     and shift per continuous column. Folding reorders float operations, so
     outputs agree with the layer-by-layer eval computation to about 1e-12,
     not bit for bit. A plan reads the model's arrays when it is built and is
-    never cached: training changes them every step. Each step works in place
-    on buffers it has just allocated, so a chunk's working set stays a few
-    ``[rows, d_model]`` blocks.
+    never cached: training changes them every step. A feature transformer
+    works in place on buffers it has just allocated, so a chunk's working
+    set stays a few ``[rows, d_model]`` blocks.
     """
 
     def __init__(self, model: TabNetClassifier):
@@ -602,55 +608,31 @@ class _EvalPlan:
         ]
         self.attentives = [_fold(att.fc, att.bn) for att in model.attentives]
 
-    def _transform(self, t: int, x: np.ndarray) -> np.ndarray:
-        first, *rest = self.transformers[t]
-        h = glu(None, Tensor(_affine(x, *first))).data
-        for w, b in rest:
-            g = glu(None, Tensor(_affine(h, w, b))).data
-            g += h
-            g *= SQRT_HALF
-            h = g
-        return h
-
-    def forward(self, X: np.ndarray) -> ForwardOutput:
-        model, cfg = self.model, self.model.config
-        n_d, n_a = cfg.n_d, cfg.n_a
+    def embed(self, X: np.ndarray) -> Tensor:
+        model = self.model
         values = model._column_values(X)
-        B = len(values[0])
-        feats = np.empty((B, model.d_model))
+        feats = np.empty((len(values[0]), model.d_model))
         for j, cols, table in self.tables:
             feats[:, cols] = table[values[j]]
         for j, col, s, shift in self.affines:
             feats[:, col] = values[j] * s + shift
+        return Tensor(feats)
 
-        a_prev = self._transform(0, feats)[:, n_d : n_d + n_a]
-        prior = None  # all ones before the first step
-        masks: list[Tensor] = []
-        decisions: list[Tensor] = []
-        agg = None
-        for i in range(cfg.n_steps):
-            w, b = self.attentives[i]
-            scores = _affine(a_prev, w, b)
-            if prior is not None:
-                scores *= prior
-                keep = prior > 0.0
-                if not keep.all():
-                    scores[~keep] = EXCLUDED_SCORE
-            mask = sparsemax(None, Tensor(scores))
-            masks.append(mask)
-            update = cfg.gamma_relax - mask.data
-            if prior is not None:
-                update *= prior
-            prior = update
+    def transform(self, t: int, x: Tensor) -> Tensor:
+        first, *rest = self.transformers[t]
+        h = glu(None, linear(None, x, *first))
+        for w, b in rest:
+            g = glu(None, linear(None, h, w, b)).data
+            g += h.data
+            g *= SQRT_HALF
+            h = Tensor(g)
+        return h
 
-            out = self._transform(i + 1, mask.data * feats)
-            d = relu(None, Tensor(out[:, :n_d]))
-            a_prev = out[:, n_d : n_d + n_a]
-            decisions.append(d)
-            agg = d.data if agg is None else agg + d.data
+    def attend(self, i: int, a_prev: Tensor) -> Tensor:
+        return linear(None, a_prev, *self.attentives[i])
 
-        logits = agg @ model.final.w.data + model.final.b.data
-        return ForwardOutput(logits=Tensor(logits), masks=masks, decisions=decisions, sparsity=None)
+    def forward(self, X: np.ndarray) -> ForwardOutput:
+        return _decision_steps(None, self.model, self.embed(X), self.transform, self.attend, False)
 
 
 # ------------------------------------------------------------- persistence

@@ -375,56 +375,71 @@ def op_fd_cases(rng):
     wbn = ad.Tensor(rng.normal(size=(6, F)))
 
     def bn_loss(tape):
-        return ad.reduce_sum(tape, ad.mul(tape, bn(tape, xbn, True), wbn))
+        return ad.reduce_sum(tape, ad.mul(tape, bn(tape, xbn), wbn))
 
     cases.append(("batch_norm_train", bn_loss, [xbn, bn.gamma, bn.beta]))
+
+    # the first step's prior (None, all ones) and a later one; masks and
+    # priors in [0, 1] as the decision steps make them
+    mask = ad.Parameter(rng.random((B, F)))
+    prior = ad.Parameter(rng.random((B, F)))
+    wprior = ad.Tensor(rng.normal(size=(B, F)))
+    for name, given in (("relax_prior_first", None), ("relax_prior_later", prior)):
+        def prior_loss(tape, given=given):
+            return ad.reduce_sum(tape, ad.mul(tape, ad.relax_prior(tape, given, mask, 1.3), wprior))
+
+        cases.append((name, prior_loss, [mask] if given is None else [prior, mask]))
 
     return cases
 
 
 
-# ---------------------------------------------- layered eval-mode reference
+# ----------------------------------------------- layered forward reference
 #
-# The layer-by-layer eval-mode forward that the folded `_EvalPlan` in
-# `attentab.tabnet` replaced, kept verbatim as the equivalence oracle, with
-# each layer's eval call and the old `BatchNorm._eval_forward` formula
-# written out so the oracle shares no arithmetic with the plan.
+# The layer-by-layer forward of both modes as it ran before train and eval
+# mode shared one step loop, kept as the equivalence oracle: the all-ones
+# prior before the first step, the prior update as a scale, an add_const and
+# a mul, and the attentive transformer applying the prior. Train mode runs
+# the layers' train batch norm on the given tape and must match the model bit
+# for bit. Eval mode writes out the old `BatchNorm` eval formula, so the
+# oracle shares no arithmetic with the folded `_EvalPlan`.
 
 
-def _reference_batch_norm(bn, x):
+def reference_batch_norm(bn, x, tape=None, training=False):
+    if training:
+        return bn(tape, x)
     inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
     xhat = (x.data - bn.running_mean) * inv
     return Tensor(xhat * bn.gamma.data + bn.beta.data)
 
 
-def _reference_glu_block(block, x):
-    return glu(None, _reference_batch_norm(block.bn, block.fc(None, x)))
+def reference_glu_block(block, x, tape=None, training=False):
+    return glu(tape, reference_batch_norm(block.bn, block.fc(tape, x), tape, training))
 
 
-def _reference_feature_transformer(ft, x):
-    h = _reference_glu_block(ft.blocks[0], x)
+def reference_feature_transformer(ft, x, tape=None, training=False):
+    h = reference_glu_block(ft.blocks[0], x, tape, training)
     for block in ft.blocks[1:]:
-        h = scale(None, add(None, _reference_glu_block(block, h), h), SQRT_HALF)
+        h = scale(tape, add(tape, reference_glu_block(block, h, tape, training), h), SQRT_HALF)
     return h
 
 
-def _reference_attentive(att, a_prev, prior):
-    h = _reference_batch_norm(att.bn, att.fc(None, a_prev))
-    scores = mul(None, prior, h)
+def reference_attentive(att, a_prev, prior, tape=None, training=False):
+    h = reference_batch_norm(att.bn, att.fc(tape, a_prev), tape, training)
+    scores = mul(tape, prior, h)
     keep = prior.data > 0.0
     if not keep.all():
-        scores = mask_fill(None, scores, keep, EXCLUDED_SCORE)
-    return sparsemax(None, scores)
+        scores = mask_fill(tape, scores, keep, EXCLUDED_SCORE)
+    return sparsemax(tape, scores)
 
 
-def reference_eval_forward(model, X: np.ndarray) -> ForwardOutput:
+def reference_forward(model, X: np.ndarray, tape=None, training=False) -> ForwardOutput:
     """Full pipeline: embed, normalize, then n_steps masked decision steps."""
-    tape = None
     cfg = model.config
-    feats = _reference_batch_norm(model.input_bn, model.embed(tape, X))
+    feats = reference_batch_norm(model.input_bn, model.embed(tape, X), tape, training)
     B = feats.data.shape[0]
 
-    split = _reference_feature_transformer(model.transformers[0], feats)
+    split = reference_feature_transformer(model.transformers[0], feats, tape, training)
     a_prev = slice_cols(tape, split, cfg.n_d, cfg.n_d + cfg.n_a)
     prior = Tensor(np.ones((B, model.d_model)))
 
@@ -433,12 +448,12 @@ def reference_eval_forward(model, X: np.ndarray) -> ForwardOutput:
     agg: Tensor | None = None
     entropy_sum: Tensor | None = None
     for i in range(cfg.n_steps):
-        mask = _reference_attentive(model.attentives[i], a_prev, prior)
+        mask = reference_attentive(model.attentives[i], a_prev, prior, tape, training)
         prior = mul(tape, prior, add_const(tape, scale(tape, mask, -1.0), cfg.gamma_relax))
         masks.append(mask)
 
         masked = mul(tape, mask, feats)
-        out = _reference_feature_transformer(model.transformers[i + 1], masked)
+        out = reference_feature_transformer(model.transformers[i + 1], masked, tape, training)
         d = relu(tape, slice_cols(tape, out, 0, cfg.n_d))
         a_prev = slice_cols(tape, out, cfg.n_d, cfg.n_d + cfg.n_a)
         decisions.append(d)

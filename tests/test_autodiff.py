@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from attentab import autodiff as ad
 from attentab.errors import BatchTooSmallError, ConfigError, GraphError, ShapeError
 
+from attentab.data import RawTable, encode, fit_schema, stratified_split
 from attentab.tabnet import TabNetClassifier, TabNetConfig
-from attentab.train import batch_loss
+from attentab.train import TrainConfig, batch_loss, fit
 
 from conftest import continuous_schema
 from helpers import (
@@ -230,6 +231,30 @@ class TestGradients:
         bad = {k: v for k, v in worst.items() if v >= 1e-4}
         assert not bad, f"gradient mismatch: {bad}"
 
+    def test_every_op_of_a_train_step_has_a_finite_difference_case(self, monkeypatch):
+        # a case named after the op, or after it plus a suffix, checks it;
+        # focal_nll's cases live in test_losses
+        ops = []
+        record = ad.Tape.record
+
+        def recording(tape, op, *args):
+            ops.append(op)
+            return record(tape, op, *args)
+
+        rows = [[str(i), "abc"[i % 3], "uv"[i % 2], repr(i / 7.0), "xy"[i * 7 % 3 % 2]]
+                for i in range(24)]
+        table = RawTable(columns=["id", "c0", "c1", "x", "label"], rows=rows)
+        ds = encode(table, fit_schema(table, "label"))
+        model = TabNetClassifier(TabNetConfig(n_d=2, n_a=2, n_steps=2, virtual_batch=8), ds.schema)
+        monkeypatch.setattr(ad.Tape, "record", recording)
+        fit(model, ds, stratified_split(ds, 0.25, 0), TrainConfig(
+            max_epochs=1, batch_size=24, patience=1, lr_patience=1, loss_kind="focal"
+        ))
+        assert {"embedding", "relax_prior", "focal_nll"} <= set(ops)
+        names = [name for name, _, _ in op_fd_cases(np.random.default_rng(0))] + ["focal_nll"]
+        missing = {op for op in ops if not any(n == op or n.startswith(op + "_") for n in names)}
+        assert not missing
+
     def test_relu_gradient_away_from_kink(self, rng):
         x = ad.Parameter(np.array([[-1.0, 2.0, -0.5, 0.3]]))
         build = weighted_sum_loss(ad.relu, x, np.array([[1.0, 2.0, 3.0, 4.0]]))
@@ -259,7 +284,7 @@ class TestBatchNorm:
     def test_train_output_is_standardized(self, rng):
         bn = ad.BatchNorm(3)
         x = ad.Tensor(rng.normal(loc=5.0, scale=2.0, size=(8, 3)))
-        out = bn(None, x, training=True).data
+        out = bn(None, x).data
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         # biased variance of the output is var/(var + eps), just under 1
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4
@@ -267,13 +292,13 @@ class TestBatchNorm:
     def test_constant_column_maps_to_zero(self):
         bn = ad.BatchNorm(2)
         x = ad.Tensor(np.column_stack([np.full(6, 7.0), np.arange(6.0)]))
-        out = bn(None, x, training=True).data
+        out = bn(None, x).data
         np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-12)
 
     def test_virtual_batches_normalize_each_chunk(self, rng):
         x = rng.normal(loc=3.0, size=(8, 3))
         bn = ad.BatchNorm(3, virtual_batch=3)
-        out = bn(None, ad.Tensor(x), training=True).data
+        out = bn(None, ad.Tensor(x)).data
         for start, stop in ((0, 3), (3, 6), (6, 8)):  # trailing chunk holds 2 rows
             chunk, want = x[start:stop], out[start:stop]
             manual = (chunk - chunk.mean(axis=0)) / np.sqrt(chunk.var(axis=0) + bn.eps)
@@ -285,7 +310,7 @@ class TestBatchNorm:
         bn = ad.BatchNorm(7, momentum=0.3, virtual_batch=virtual_batch)
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=7)
         bn.beta.data[...] = rng.normal(size=7)
-        out = bn(None, ad.Tensor(x), training=True).data
+        out = bn(None, ad.Tensor(x)).data
         vb = virtual_batch or len(x)
         running_mean, running_var = np.zeros(7), np.ones(7)
         for start in range(0, len(x), vb):
@@ -313,7 +338,7 @@ class TestBatchNorm:
             x = ad.Tensor(rng.normal(loc=3.0, scale=2.0, size=(1030, F)))
             g = rng.normal(size=(1030, F))
             tape = ad.Tape()
-            out = bn(tape, x, training=True).data
+            out = bn(tape, x).data
             grads = tape._records[-1].backward(g)
             want_out, want_backward = batch_norm_train_reference(ref, x.data)
             assert np.array_equal(out, want_out)
@@ -325,7 +350,7 @@ class TestBatchNorm:
     def test_running_update_follows_momentum_formula(self, rng):
         bn = ad.BatchNorm(2, momentum=0.3)
         x = rng.normal(size=(5, 2))
-        bn(None, ad.Tensor(x), training=True)
+        bn(None, ad.Tensor(x))
         np.testing.assert_allclose(bn.running_mean, 0.3 * x.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(
             bn.running_var, 0.7 * 1.0 + 0.3 * x.var(axis=0), atol=1e-12
@@ -333,31 +358,32 @@ class TestBatchNorm:
 
     def test_momentum_one_makes_eval_reproduce_train(self, rng):
         bn = ad.BatchNorm(4, momentum=1.0)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=4)
+        bn.beta.data[...] = rng.normal(size=4)
         x = ad.Tensor(rng.normal(size=(16, 4)))
-        train_out = bn(None, x, training=True).data
-        eval_out = bn(None, x, training=False).data
-        np.testing.assert_allclose(eval_out, train_out, atol=1e-6)
+        train_out = bn(None, x).data
+        scale, shift = bn.eval_affine()
+        np.testing.assert_allclose(x.data * scale + shift, train_out, atol=1e-6)
 
     def test_single_row_train_batch_rejected(self):
         bn = ad.BatchNorm(3)
         with pytest.raises(BatchTooSmallError):
-            bn(None, ad.Tensor(np.ones((1, 3))), training=True)
-        # eval mode has no such restriction
-        bn(None, ad.Tensor(np.ones((1, 3))), training=False)
-
-    def test_eval_mode_with_a_tape_rejected(self):
-        bn = ad.BatchNorm(3, name="probe")
-        with pytest.raises(GraphError, match="probe: eval mode"):
-            bn(ad.Tape(), ad.Tensor(np.ones((2, 3))), training=False)
+            bn(None, ad.Tensor(np.ones((1, 3))))
+        # the eval map has no such restriction
+        scale, shift = bn.eval_affine()
+        out = np.ones((1, 3)) * scale + shift
+        np.testing.assert_allclose(out, 1.0 / np.sqrt(1.0 + bn.eps), atol=1e-12)
 
     def test_eval_uses_running_statistics(self, rng):
         bn = ad.BatchNorm(2)
         bn.running_mean[...] = [1.0, -2.0]
         bn.running_var[...] = [4.0, 0.25]
+        bn.gamma.data[...] = [2.0, 0.5]
+        bn.beta.data[...] = [0.1, -0.3]
         x = np.array([[3.0, -1.0]])
-        out = bn(None, ad.Tensor(x), training=False).data
-        want = (x - [1.0, -2.0]) / np.sqrt(np.array([4.0, 0.25]) + bn.eps)
-        np.testing.assert_allclose(out, want, atol=1e-12)
+        scale, shift = bn.eval_affine()
+        want = (x - [1.0, -2.0]) / np.sqrt(np.array([4.0, 0.25]) + bn.eps) * [2.0, 0.5]
+        np.testing.assert_allclose(x * scale + shift, want + [0.1, -0.3], atol=1e-12)
 
     def test_shared_affine_keeps_buffers_local(self, rng):
         registry = {}
@@ -376,7 +402,7 @@ class TestBatchNorm:
         ]
         assert registry["borrower.running_mean"] is borrower.running_mean
         assert registry["borrower.running_var"] is borrower.running_var
-        borrower(None, ad.Tensor(rng.normal(loc=9.0, size=(6, 3))), training=True)
+        borrower(None, ad.Tensor(rng.normal(loc=9.0, size=(6, 3))))
         # the borrower's pass must not disturb the owner's running estimates
         np.testing.assert_array_equal(owner.running_mean, np.zeros(3))
         assert borrower.running_mean.mean() > 1.0

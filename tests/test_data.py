@@ -199,6 +199,20 @@ class TestJoin:
         with pytest.raises(IngestionError, match="'3'"):
             join_on_id(values, labels)
 
+    @pytest.mark.parametrize("missing", ["", "NaN", "nan"])
+    def test_missing_key_in_values_rejected(self, tmp_path, missing):
+        values = write(tmp_path / "v.csv", f"id,x\n1,a\n{missing},b\n2,c\n")
+        labels = write(tmp_path / "l.csv", "id,y\n1,u\n2,v\n")
+        with pytest.raises(IngestionError, match="values table: data row 2 has no 'id'"):
+            join_on_id(load_csv(values), load_csv(labels))
+
+    def test_missing_key_in_labels_rejected(self, tmp_path):
+        # two id-less value rows used to join the one id-less label row
+        values = write(tmp_path / "v.csv", "id,x\n1,a\n,b\n,c\n")
+        labels = write(tmp_path / "l.csv", "id,y\n1,u\n,v\n")
+        with pytest.raises(IngestionError, match="labels table: data row 2 has no 'id'"):
+            join_on_id(load_csv(values), load_csv(labels))
+
     def test_missing_key_column(self):
         with pytest.raises(IngestionError, match="join key"):
             join_on_id(table(["a"], []), table(["id"], []))

@@ -4,6 +4,7 @@ import math
 import struct
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from attentab.errors import (
 )
 from attentab.tabnet import (
     EVAL_BATCH,
-    AttentiveTransformer,
     FeatureTransformer,
     GLUBlock,
     MaskReport,
@@ -35,7 +35,15 @@ from attentab.tabnet import (
 )
 from attentab.train import batch_loss
 
-from helpers import AdamReference, grad_check, reference_eval_forward
+from helpers import (
+    AdamReference,
+    grad_check,
+    reference_attentive,
+    reference_batch_norm,
+    reference_feature_transformer,
+    reference_forward,
+    reference_glu_block,
+)
 from conftest import continuous_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -200,13 +208,23 @@ class TestMasksAndPrior:
         assert (prior_1 > 0.0).all()
 
     def test_zero_prior_entry_yields_zero_mask(self, rng):
-        att = AttentiveTransformer(rng, n_a=3, d_features=4, virtual_batch=None, name="t")
-        a_prev = ad.Tensor(rng.normal(size=(5, 3)))
-        prior = np.ones((5, 4))
-        prior[:, 2] = 0.0
-        mask = att(None, a_prev, ad.Tensor(prior), True)
-        assert (mask.data[:, 2] == 0.0).all()
-        np.testing.assert_allclose(mask.data.sum(axis=1), 1.0, atol=1e-9)
+        # step 0 spends feature 2 entirely (gamma_relax=1 leaves it a zero
+        # prior); step 1 scores it highest and every other feature negative,
+        # where a zero product alone would still win the row
+        cfg = TabNetConfig(n_d=2, n_a=2, n_steps=2, gamma_relax=1.0)
+        model = SimpleNamespace(config=cfg, final=lambda tape, agg: agg)
+        feats = ad.Tensor(rng.normal(size=(5, 4)))
+        step_scores = [np.zeros((5, 4)), np.full((5, 4), -1.0)]
+        for scores in step_scores:
+            scores[:, 2] = 100.0
+        for tape, training in ((None, False), (ad.Tape(), True)):
+            out = tabnet._decision_steps(
+                tape, model, feats, lambda t, x: ad.Tensor(np.ones((5, 4))),
+                lambda i, a_prev: ad.Tensor(step_scores[i]), training,
+            )
+            assert (out.masks[0].data[:, 2] == 1.0).all()
+            assert (out.masks[1].data[:, 2] == 0.0).all()
+            np.testing.assert_allclose(out.masks[1].data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_sparsity_matches_entropy_formula(self):
         model, ds = small_model()
@@ -266,11 +284,11 @@ class TestSharing:
 
     def test_shared_stack_is_one_function_in_train_mode(self):
         model, ds = small_model()
-        x = model.input_bn(None, model.embed(None, ds.features), True)
+        x = model.input_bn(None, model.embed(None, ds.features))
         b0 = model.transformers[0].blocks[0]
         b1 = model.transformers[1].blocks[0]
-        out0 = b0(None, x, True).data
-        out1 = b1(None, x, True).data
+        out0 = b0(None, x).data
+        out1 = b1(None, x).data
         np.testing.assert_array_equal(out0, out1)
 
     def test_no_duplicate_state_names(self):
@@ -284,15 +302,19 @@ class TestSharing:
         assert len(ids) == len(set(ids))
 
     def test_residual_scales_by_sqrt_half(self, rng):
+        # a zero second block adds nothing, in the layers (train mode, where
+        # batch norm maps its constant input to beta = 0) and in the layered
+        # eval reference alike
         first = GLUBlock(rng, 4, 3, None, "a")
         second = GLUBlock(rng, 3, 3, None, "b")
         second.fc.w.data[...] = 0.0
         second.fc.b.data[...] = 0.0
         ft = FeatureTransformer([first, second])
         x = ad.Tensor(rng.normal(size=(5, 4)))
-        h1 = first(None, x, False).data
-        out = ft(None, x, False).data
-        np.testing.assert_allclose(out, math.sqrt(0.5) * h1, atol=1e-12)
+        for training in (True, False):
+            h1 = first(None, x).data if training else reference_glu_block(first, x).data
+            got = ft(None, x) if training else reference_feature_transformer(ft, x)
+            np.testing.assert_allclose(got.data, math.sqrt(0.5) * h1, atol=1e-12)
 
 
 class TestForwardComposition:
@@ -301,13 +323,13 @@ class TestForwardComposition:
         X = ds.features[:8]
         cfg = model.config
 
-        feats = model.input_bn(None, model.embed(None, X), False)
-        split = model.transformers[0](None, feats, False)
+        feats = reference_batch_norm(model.input_bn, model.embed(None, X))
+        split = reference_feature_transformer(model.transformers[0], feats)
         a0 = ad.slice_cols(None, split, cfg.n_d, cfg.n_d + cfg.n_a)
         prior = ad.Tensor(np.ones((8, model.d_model)))
-        mask = model.attentives[0](None, a0, prior, False)
+        mask = reference_attentive(model.attentives[0], a0, prior)
         masked = ad.mul(None, mask, feats)
-        out = model.transformers[1](None, masked, False)
+        out = reference_feature_transformer(model.transformers[1], masked)
         d = ad.relu(None, ad.slice_cols(None, out, 0, cfg.n_d))
         logits = model.final(None, d)
 
@@ -431,35 +453,83 @@ def assert_matches_reference(got, want):
     assert got.sparsity is None
 
 
+def reference_grid(test):
+    """The configurations on which both modes are held to the layered
+    reference: one and four steps, both embed_dims forms, one BN chunk and
+    ghost chunks, relaxed priors and exhausted ones."""
+    test = pytest.mark.parametrize("n_steps", [1, 4])(test)
+    test = pytest.mark.parametrize("embed_dims", [3, [2, 1]], ids=["int", "list"])(test)
+    test = pytest.mark.parametrize("virtual_batch", [None, 128, 16])(test)
+    return pytest.mark.parametrize("saturate", [False, True], ids=["relaxed", "saturated"])(test)
+
+
+def grid_model(n_steps, embed_dims, virtual_batch, saturate):
+    ds = two_categorical_dataset()
+    cfg = TabNetConfig(
+        n_d=4, n_a=3, n_steps=n_steps, embed_dims=embed_dims,
+        virtual_batch=virtual_batch, gamma_relax=1.0 if saturate else 1.3, seed=4,
+    )
+    model = TabNetClassifier(cfg, ds.schema)
+    randomize_state(model, np.random.default_rng(n_steps))
+    if saturate:
+        for att in model.attentives:
+            att.fc.w.data *= 50.0  # wide scores saturate sparsemax to one-hot rows
+    X = ds.features.copy()
+    X[0, 1] = model.embeddings["kind"].data.shape[0] - 1  # reserved unseen code
+    return model, X, ds.labels
+
+
+def assert_priors_exhausted(masks):
+    prior = np.ones_like(masks[0].data)
+    for mask in masks[:-1]:
+        prior = prior * (1.0 - mask.data)
+    assert (prior == 0.0).any()  # exhausted priors reached the exclusion
+
+
 class TestEvalPlan:
     """Eval mode folds every batch norm into the map before it; the layered
     computation it replaced is kept in helpers as the oracle."""
 
-    @pytest.mark.parametrize("saturate", [False, True], ids=["relaxed", "saturated"])
-    @pytest.mark.parametrize("virtual_batch", [None, 128])
-    @pytest.mark.parametrize("embed_dims", [3, [2, 1]], ids=["int", "list"])
-    @pytest.mark.parametrize("n_steps", [1, 4])
+    @reference_grid
     def test_matches_layered_reference(self, n_steps, embed_dims, virtual_batch, saturate):
-        ds = two_categorical_dataset()
-        cfg = TabNetConfig(
-            n_d=4, n_a=3, n_steps=n_steps, embed_dims=embed_dims,
-            virtual_batch=virtual_batch, gamma_relax=1.0 if saturate else 1.3, seed=4,
-        )
-        model = TabNetClassifier(cfg, ds.schema)
-        randomize_state(model, np.random.default_rng(n_steps))
-        if saturate:
-            for att in model.attentives:
-                att.fc.w.data *= 50.0  # wide scores saturate sparsemax to one-hot rows
-        X = ds.features.copy()
-        X[0, 1] = model.embeddings["kind"].data.shape[0] - 1  # reserved unseen code
+        model, X, _ = grid_model(n_steps, embed_dims, virtual_batch, saturate)
         got = model.forward(None, X, training=False)
-        want = reference_eval_forward(model, X)
+        want = reference_forward(model, X)
         assert_matches_reference(got, want)
         if saturate and n_steps > 1:
-            prior = np.ones_like(want.masks[0].data)
-            for mask in want.masks[:-1]:
-                prior = prior * (1.0 - mask.data)
-            assert (prior == 0.0).any()  # exhausted priors reached the exclusion
+            assert_priors_exhausted(want.masks)
+
+    @reference_grid
+    def test_train_mode_bit_identical_to_layered_reference(
+        self, n_steps, embed_dims, virtual_batch, saturate
+    ):
+        # the shared step loop starts from no prior and updates it in one
+        # record; the reference keeps the all-ones prior and three records
+        model, X, y = grid_model(n_steps, embed_dims, virtual_batch, saturate)
+        ref, _, _ = grid_model(n_steps, embed_dims, virtual_batch, saturate)
+        spec = {"kind": "focal", "gamma": 2.0, "alpha": np.array([0.5, 1.0, 2.0])}
+        outs = []
+        def model_forward(m, X, tape, training):
+            return m.forward(tape, X, training)
+
+        for m, forward in ((model, model_forward), (ref, reference_forward)):
+            tape = ad.Tape()
+            out = forward(m, X, tape, True)
+            loss = batch_loss(tape, out.logits, y, spec).scalar
+            tape.backward(ad.add(tape, loss, ad.scale(tape, out.sparsity, 0.1)))
+            outs.append(out)
+        got, want = outs
+        assert np.array_equal(got.logits.data, want.logits.data)
+        assert np.array_equal(got.sparsity.data, want.sparsity.data)
+        for a, b in zip(got.masks + got.decisions, want.masks + want.decisions, strict=True):
+            assert np.array_equal(a.data, b.data)
+        assert any(p.grad.any() for p in model.parameters())
+        for p, q in zip(model.parameters(), ref.parameters(), strict=True):
+            assert p.name == q.name and np.array_equal(p.grad, q.grad), p.name
+        for (name, a), (_, b) in zip(model.state_arrays(), ref.state_arrays(), strict=True):
+            assert np.array_equal(a, b), name  # running statistics moved alike
+        if saturate and n_steps > 1:
+            assert_priors_exhausted(want.masks)
 
     def test_plan_follows_state_changes_between_calls(self):
         model, ds = small_model()
@@ -469,12 +539,12 @@ class TestEvalPlan:
         after_param = model.predict_logits(X)
         assert not np.array_equal(after_param, before)
         np.testing.assert_allclose(
-            after_param, reference_eval_forward(model, X).logits.data, **CLOSE
+            after_param, reference_forward(model, X).logits.data, **CLOSE
         )
         model.registry["att/0/bn.running_var"][...] *= 4.0
         after_var = model.predict_logits(X)
         assert not np.array_equal(after_var, after_param)
-        np.testing.assert_allclose(after_var, reference_eval_forward(model, X).logits.data, **CLOSE)
+        np.testing.assert_allclose(after_var, reference_forward(model, X).logits.data, **CLOSE)
 
 
 class TestExplain:
