@@ -349,13 +349,6 @@ def scale(tape: Tape | None, x: Tensor, c: float) -> Tensor:
     return out
 
 
-def add_const(tape: Tape | None, x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data + c)
-    if tape is not None:
-        tape.record("add_const", (x,), out, lambda g: (g,))
-    return out
-
-
 def relax_prior(tape: Tape | None, prior: Tensor | None, mask: Tensor, gamma: float) -> Tensor:
     """The decision-step prior update ``prior * (gamma - mask)`` as one record;
     ``prior=None`` is the all-ones prior before the first step."""
@@ -372,13 +365,23 @@ def relax_prior(tape: Tape | None, prior: Tensor | None, mask: Tensor, gamma: fl
     return out
 
 
-def log(tape: Tape | None, x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise ShapeError("log: input must be strictly positive")
-    out = Tensor(np.log(x.data))
+def mean_entropy(tape: Tape | None, masks: Sequence[Tensor], eps: float) -> Tensor:
+    """The mask-entropy penalty ``-(e_1 + ... + e_n) / (n * B)`` over ``n``
+    masks of ``B`` rows, ``e_i = sum(M_i * log(M_i + eps))``, as one record.
+    Each mask's gradient, ``G * log(M + eps) + (G * M) / (M + eps)`` with
+    ``G`` the incoming gradient times ``-1 / (n * B)``, is the float sum a
+    chain of add-constant, log, multiply and sum records delivers."""
+    c = -1.0 / (len(masks) * masks[0].data.shape[0])
+    shifted = [m.data + eps for m in masks]
+    logs = [np.log(s) for s in shifted]
+    sums = [(m.data * lg).sum() for m, lg in zip(masks, logs)]
+    out = Tensor(sum(sums[1:], sums[0]) * c)  # ((e_1 + e_2) + e_3) + ...
     if tape is not None:
-        xd = x.data
-        tape.record("log", (x,), out, lambda g: (g / xd,))
+        def bwd(g):
+            gc = g * c
+            return [gc * lg + (gc * m.data) / s for m, lg, s in zip(masks, logs, shifted)]
+
+        tape.record("mean_entropy", masks, out, bwd)
     return out
 
 
@@ -392,62 +395,40 @@ def mask_fill(tape: Tape | None, x: Tensor, keep: np.ndarray, fill: float) -> Te
     return out
 
 
-def reduce_sum(tape: Tape | None, x: Tensor, axis: int | None = None) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis))
-    if tape is not None:
-        shape = x.data.shape
-
+def embed_columns(
+    tape: Tape | None, tables: Sequence[Tensor | None], values: Sequence[np.ndarray]
+) -> Tensor:
+    """Columns side by side in one block: column j is the row lookup
+    ``tables[j][values[j]]`` by codes the caller has checked, or ``values[j]``
+    itself where ``tables[j]`` is None. One record covers every
+    :class:`Parameter` table; its backward scatter-adds each table's rows
+    with ``np.bincount`` over the flat indices ``code * width + k``, which
+    sums in row order, as a sequential ``np.add.at`` does."""
+    widths = [1 if t is None else t.data.shape[1] for t in tables]
+    out = np.empty((len(values[0]), sum(widths)))
+    learned = []  # (table, first column, codes) per Parameter table
+    start = 0
+    for table, col, width in zip(tables, values, widths, strict=True):
+        if table is None:
+            out[:, start] = col
+        else:
+            out[:, start : start + width] = table.data[col]
+            if isinstance(table, Parameter):
+                learned.append((table, start, col))
+        start += width
+    result = Tensor(out)
+    if tape is not None and learned:
         def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+            grads = []
+            for table, start, codes in learned:
+                rows, width = table.data.shape
+                flat = (codes[:, None] * width + np.arange(width)).ravel()
+                part = g[:, start : start + width].ravel()
+                grads.append(np.bincount(flat, part, rows * width).reshape(rows, width))
+            return grads
 
-        tape.record("reduce_sum", (x,), out, bwd)
-    return out
-
-
-def embedding(tape: Tape | None, table: Tensor, codes: np.ndarray) -> Tensor:
-    """Row lookup table[codes]; backward scatter-adds into the table."""
-    td = _as2d("table", "embedding", table)
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.min(initial=0) < 0 or codes.max(initial=0) >= td.shape[0]:
-        raise ShapeError(
-            f"embedding: codes outside [0, {td.shape[0]}) for table shape {table.shape}"
-        )
-    out = Tensor(td[codes])
-    if tape is not None:
-        shape = td.shape
-
-        def bwd(g):
-            gt = np.zeros(shape)
-            np.add.at(gt, codes, g)
-            return (gt,)
-
-        tape.record("embedding", (table,), out, bwd)
-    return out
-
-
-def concat_cols(tape: Tape | None, parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_cols: need at least one part")
-    widths = []
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        pd = _as2d("part", "concat_cols", p)
-        if pd.shape[0] != rows:
-            raise ShapeError(
-                f"concat_cols: row counts differ ({rows} vs {pd.shape[0]})"
-            )
-        widths.append(pd.shape[1])
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    if tape is not None:
-        bounds = np.cumsum([0] + widths)
-
-        def bwd(g):
-            return tuple(g[:, bounds[i] : bounds[i + 1]] for i in range(len(widths)))
-
-        tape.record("concat_cols", tuple(parts), out, bwd)
-    return out
+        tape.record("embed_columns", [t for t, _, _ in learned], result, bwd)
+    return result
 
 
 def slice_cols(tape: Tape | None, x: Tensor, start: int, stop: int) -> Tensor:

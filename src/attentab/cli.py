@@ -229,12 +229,15 @@ def _split_indices(model, dataset, split_name: str):
 
 def cmd_evaluate(args, cfg: dict) -> int:
     from . import train as train_mod
+    from .container import decoding
 
     model, dataset = _load_pair(args, cfg)
-    indices = _split_indices(model, dataset, args.split)
     info = model.train_info or {}
-    loss_spec = info.get("loss") or {"kind": "cce"}
-    f1_average = info.get("train_config", {}).get("f1_average", "macro")
+    with decoding(Paths(**_settings(args, cfg, "paths")).model):
+        loss_spec = info.get("loss") or {"kind": "cce"}
+        train_mod.loss_terms(loss_spec, model.n_classes)
+        f1_average = info.get("train_config", {}).get("f1_average", "macro")
+    indices = _split_indices(model, dataset, args.split)
     loss, acc, f1 = train_mod.evaluate(model, dataset, indices, loss_spec, f1_average)
     print(
         json.dumps(

@@ -26,6 +26,7 @@ from .errors import (
     EncodingError,
     IngestionError,
     LabelError,
+    PersistenceError,
     SchemaError,
     SplitError,
     check_int,
@@ -528,11 +529,27 @@ def save_dataset(path: str, dataset: EncodedDataset) -> None:
 
 
 def load_dataset(path: str) -> EncodedDataset:
+    """Read a dataset container, rejecting one whose arrays disagree with
+    its header, its schema or each other."""
     header, arrays = read_container(path, DATASET_MAGIC)
     with decoding(path):
-        return EncodedDataset(
-            features=arrays["features"],
-            labels=arrays["labels"].astype(np.int64),
-            class_counts=arrays["class_counts"].astype(np.int64),
-            schema=FeatureSchema.from_dict(header["schema"]),
+        features, labels, counts = arrays["features"], arrays["labels"], arrays["class_counts"]
+        schema = FeatureSchema.from_dict(header["schema"])
+        shape = (header["n_rows"], header["n_features"])
+    n_active, n_classes = len(schema.feature_columns()), len(schema.labels)
+    if features.shape != shape or shape[1] != n_active:
+        raise PersistenceError(
+            f"{path}: features of shape {features.shape}, but the header gives {shape} "
+            f"and the schema {n_active} active columns"
         )
+    whole = (labels >= 0) & (labels < n_classes) & (np.floor(labels) == labels)
+    if labels.shape != shape[:1] or not whole.all():
+        raise PersistenceError(
+            f"{path}: labels must be {shape[0]} whole numbers in [0, {n_classes})"
+        )
+    labels = labels.astype(np.int64)
+    if not np.array_equal(counts, np.bincount(labels, minlength=n_classes)):
+        raise PersistenceError(f"{path}: class_counts {counts} disagree with the labels")
+    return EncodedDataset(
+        features=features, labels=labels, class_counts=counts.astype(np.int64), schema=schema
+    )

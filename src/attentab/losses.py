@@ -52,14 +52,15 @@ def _check_labels(logprobs: Tensor, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _check_alpha_gamma(alpha, gamma: float, n_classes: int) -> np.ndarray:
+def check_alpha_gamma(alpha, gamma: float, n_classes: int) -> np.ndarray:
+    """``alpha`` as a float vector, once it and ``gamma`` are checked."""
     if gamma < 0:
         raise ConfigError(f"focal gamma must be >= 0, got {gamma}")
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (n_classes,):
         raise ConfigError(f"alpha has shape {alpha.shape}, expected ({n_classes},)")
-    if np.any(alpha <= 0):
-        raise ConfigError("alpha entries must be strictly positive")
+    if not (np.isfinite(alpha) & (alpha > 0)).all():
+        raise ConfigError("alpha entries must be finite and strictly positive")
     return alpha
 
 
@@ -74,7 +75,7 @@ def focal_nll(
     taken as 0 where it diverges (``p_true = 1`` with ``gamma < 1``).
     """
     labels = _check_labels(logprobs, labels)
-    alpha = _check_alpha_gamma(alpha, gamma, logprobs.shape[1])
+    alpha = check_alpha_gamma(alpha, gamma, logprobs.shape[1])
     rows = np.arange(labels.size)
     raw = logprobs.data[rows, labels]
     unfloored = raw > LOGPROB_FLOOR

@@ -4,10 +4,11 @@ The model embeds categorical codes, batch-normalizes the feature matrix,
 then runs a sequence of decision steps. Each step selects features with a
 sparsemax mask produced by an attentive transformer (scaled by a cumulative
 prior so features get "spent"), transforms the masked features through a
-GLU stack, and contributes relu(d) to the aggregate decision. Mask entropy
-is returned as a sparsity penalty for the training loss. Train and eval
-mode run one step loop (:func:`_decision_steps`); eval mode differs only in
-its maps, with every batch norm folded in, and in skipping the penalty.
+GLU stack, and contributes relu(d) to the aggregate decision. Train and
+eval mode embed the columns with one gather (``embed_columns``) and run one
+step loop (:func:`_decision_steps`); eval mode differs only in its tables
+and maps, with every batch norm folded in. Train mode adds the mask-entropy
+sparsity penalty for the training loss as one record after the loop.
 
 Conventions the original TabNet write-up leaves open follow the common
 reference implementation: prior update P <- P * (gamma_relax - M), residual
@@ -30,15 +31,12 @@ from .autodiff import (
     Tape,
     Tensor,
     add,
-    add_const,
-    concat_cols,
-    embedding,
+    embed_columns,
     glu,
     linear,
-    log,
     mask_fill,
+    mean_entropy,
     mul,
-    reduce_sum,
     register,
     relax_prior,
     relu,
@@ -394,13 +392,8 @@ class TabNetClassifier:
     def embed(self, tape: Tape | None, X: np.ndarray) -> Tensor:
         """Encoded matrix -> dense features: continuous columns pass through,
         categorical codes go through their embedding tables."""
-        parts: list[Tensor] = []
-        for (name, kind, _), col in zip(self._columns, self._column_values(X)):
-            if kind == KIND_CONTINUOUS:
-                parts.append(Tensor(col[:, None].copy()))
-            else:
-                parts.append(embedding(tape, self.embeddings[name], col))
-        return concat_cols(tape, parts)
+        tables = [self.embeddings.get(name) for name, _, _ in self._columns]
+        return embed_columns(tape, tables, self._column_values(X))
 
     def attribution_map(self) -> list[tuple[str, slice]]:
         """Raw column name -> slice of embedded columns, in raw order."""
@@ -421,10 +414,12 @@ class TabNetClassifier:
             _require_rows(_row_count(X))
             return _EvalPlan(self).forward(X)
         feats = self.input_bn(tape, self.embed(tape, X))
-        return _decision_steps(
+        out = _decision_steps(
             tape, self, feats, lambda t, x: self.transformers[t](tape, x),
-            lambda i, a_prev: self.attentives[i](tape, a_prev), training=True,
+            lambda i, a_prev: self.attentives[i](tape, a_prev),
         )
+        out.sparsity = mean_entropy(tape, out.masks, SPARSITY_EPS)
+        return out
 
     def _eval_chunks(
         self, X: np.ndarray, batch_size: int = EVAL_BATCH, indices: np.ndarray | None = None
@@ -511,16 +506,15 @@ def _attribute(
 def _decision_steps(
     tape: Tape | None, model: TabNetClassifier, feats: Tensor,
     transform: Callable[[int, Tensor], Tensor], attend: Callable[[int, Tensor], Tensor],
-    training: bool,
 ) -> ForwardOutput:
     """The decision steps of both modes over normalized features, through
     feature transformer ``transform(t, x)`` (0 is the initial splitter) and
     step i's scores before the prior, ``attend(i, a_prev)``, into the
-    model's output layer. Train mode also sums the mask entropy."""
+    model's output layer. The output carries no sparsity penalty."""
     cfg = model.config
     n_d, n_a = cfg.n_d, cfg.n_a
     a_prev = slice_cols(tape, transform(0, feats), n_d, n_d + n_a)
-    prior = agg = entropy_sum = None  # the prior is all ones before the first step
+    prior = agg = None  # the prior is all ones before the first step
     masks, decisions = [], []
     for i in range(cfg.n_steps):
         scores = attend(i, a_prev)
@@ -539,15 +533,8 @@ def _decision_steps(
         decisions.append(d)
         agg = d if agg is None else add(tape, agg, d)
 
-        if training:
-            ent = reduce_sum(tape, mul(tape, mask, log(tape, add_const(tape, mask, SPARSITY_EPS))))
-            entropy_sum = ent if entropy_sum is None else add(tape, entropy_sum, ent)
-
     logits = model.final(tape, agg)
-    sparsity = None
-    if training:
-        sparsity = scale(tape, entropy_sum, -1.0 / (cfg.n_steps * feats.data.shape[0]))
-    return ForwardOutput(logits=logits, masks=masks, decisions=decisions, sparsity=sparsity)
+    return ForwardOutput(logits=logits, masks=masks, decisions=decisions, sparsity=None)
 
 
 # ---------------------------------------------------------- eval-mode plan
@@ -580,7 +567,8 @@ class _EvalPlan:
     Each GLU block's and each attentive transformer's fc + BN becomes one
     linear layer (:func:`_fold`). ``input_bn`` folds into every row of each
     embedding table, the reserved unseen-code row included, and into a scale
-    and shift per continuous column. Folding reorders float operations, so
+    and shift per continuous column; train mode's gather, ``embed_columns``,
+    then reads the folded tables. Folding reorders float operations, so
     outputs agree with the layer-by-layer eval computation to about 1e-12,
     not bit for bit. A plan reads the model's arrays when it is built and is
     never cached: training changes them every step. A feature transformer
@@ -591,32 +579,27 @@ class _EvalPlan:
     def __init__(self, model: TabNetClassifier):
         self.model = model
         scale, shift = model.input_bn.eval_affine()
-        # (raw column, embedded columns, folded table) per categorical column
-        # and (raw column, embedded column, scale, shift) per continuous one
-        self.tables: list[tuple[int, slice, np.ndarray]] = []
-        self.affines: list[tuple[int, int, float, float]] = []
-        for j, ((name, kind, _), (_, cols)) in enumerate(
-            zip(model._columns, model.attribution_map())
-        ):
-            if kind == KIND_CATEGORICAL:
-                table = model.embeddings[name].data * scale[cols] + shift[cols]
-                self.tables.append((j, cols, table))
+        # per raw column its folded table, or None for a continuous column,
+        # whose (raw column, scale, shift) is in affines
+        self.tables: list[Tensor | None] = []
+        self.affines: list[tuple[int, float, float]] = []
+        for j, ((name, _, _), (_, cols)) in enumerate(zip(model._columns, model.attribution_map())):
+            table = model.embeddings.get(name)
+            if table is None:
+                self.affines.append((j, scale[cols.start], shift[cols.start]))
             else:
-                self.affines.append((j, cols.start, scale[cols.start], shift[cols.start]))
+                table = Tensor(table.data * scale[cols] + shift[cols])
+            self.tables.append(table)
         self.transformers = [
             [_fold(block.fc, block.bn) for block in ft.blocks] for ft in model.transformers
         ]
         self.attentives = [_fold(att.fc, att.bn) for att in model.attentives]
 
     def embed(self, X: np.ndarray) -> Tensor:
-        model = self.model
-        values = model._column_values(X)
-        feats = np.empty((len(values[0]), model.d_model))
-        for j, cols, table in self.tables:
-            feats[:, cols] = table[values[j]]
-        for j, col, s, shift in self.affines:
-            feats[:, col] = values[j] * s + shift
-        return Tensor(feats)
+        values = self.model._column_values(X)
+        for j, s, shift in self.affines:
+            values[j] = values[j] * s + shift
+        return embed_columns(None, self.tables, values)
 
     def transform(self, t: int, x: Tensor) -> Tensor:
         first, *rest = self.transformers[t]
@@ -632,7 +615,7 @@ class _EvalPlan:
         return linear(None, a_prev, *self.attentives[i])
 
     def forward(self, X: np.ndarray) -> ForwardOutput:
-        return _decision_steps(None, self.model, self.embed(X), self.transform, self.attend, False)
+        return _decision_steps(None, self.model, self.embed(X), self.transform, self.attend)
 
 
 # ------------------------------------------------------------- persistence
@@ -665,6 +648,9 @@ def load_model(path: str) -> TabNetClassifier:
                 f"header claims {header['n_classes']} classes, schema implies {model.n_classes}"
             )
         model.load_state(arrays)
-    model.fitted = bool(header.get("fitted", False))
-    model.train_info = header.get("train_info")
+        model.fitted, model.train_info = header.get("fitted", False), header.get("train_info")
+        if not isinstance(model.fitted, bool):
+            raise PersistenceError(f"'fitted' must be true or false, got {model.fitted!r}")
+        if not isinstance(model.train_info, (dict, type(None))):
+            raise PersistenceError(f"'train_info' must be an object, got {model.train_info!r}")
     return model

@@ -17,7 +17,7 @@ from .autodiff import Adam, Tape, add, scale, softmax_logprob
 from .container import atomic_write_text
 from .data import EncodedDataset, Split
 from .errors import ConfigError, NumericsError, ShapeError, check_int, check_number
-from .losses import LossValue, alpha_from_frequencies, focal_nll
+from .losses import LossValue, alpha_from_frequencies, check_alpha_gamma, focal_nll
 from .tabnet import EVAL_BATCH, TabNetClassifier
 
 LOSS_KINDS = ("cce", "balanced", "focal")
@@ -238,16 +238,26 @@ def resolve_loss_spec(config: TrainConfig, train_class_counts: np.ndarray) -> di
     return spec
 
 
-def batch_loss(tape: Tape | None, logits, labels: np.ndarray, loss_spec: dict) -> LossValue:
-    """Softmax plus the one focal op: cce is gamma 0 with unit alpha,
-    balanced is gamma 0 with the spec's alpha."""
-    kind = loss_spec["kind"]
+def loss_terms(loss_spec: dict, n_classes: int) -> tuple[np.ndarray, float]:
+    """A loss spec's class weights and focusing exponent: cce is gamma 0
+    with unit alpha, balanced is gamma 0 with the spec's alpha. A spec not
+    of the form :func:`resolve_loss_spec` writes raises ConfigError."""
+    kind = loss_spec.get("kind") if isinstance(loss_spec, dict) else None
     if kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {kind!r}")
-    logprobs = softmax_logprob(tape, logits)
-    alpha = np.ones(logprobs.shape[1]) if kind == "cce" else loss_spec["alpha"]
-    gamma = loss_spec["gamma"] if kind == "focal" else 0.0
-    return focal_nll(tape, logprobs, labels, alpha, gamma)
+        raise ConfigError(f"loss spec {loss_spec!r}: kind must be one of {LOSS_KINDS}")
+    try:
+        alpha = np.ones(n_classes) if kind == "cce" else loss_spec["alpha"]
+        gamma = loss_spec["gamma"] if kind == "focal" else 0.0
+    except KeyError as exc:
+        raise ConfigError(f"{kind} loss spec has no {exc}") from None
+    check_number("focal gamma", gamma)
+    return check_alpha_gamma(alpha, gamma, n_classes), gamma
+
+
+def batch_loss(tape: Tape | None, logits, labels: np.ndarray, loss_spec: dict) -> LossValue:
+    """Softmax plus the one focal op, weighted by the spec's :func:`loss_terms`."""
+    alpha, gamma = loss_terms(loss_spec, logits.shape[1])
+    return focal_nll(tape, softmax_logprob(tape, logits), labels, alpha, gamma)
 
 
 # ------------------------------------------------------------------- eval

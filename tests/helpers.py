@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
@@ -11,13 +12,11 @@ from attentab.autodiff import (
     Parameter,
     Tape,
     Tensor,
+    _as2d,
     add,
-    add_const,
     glu,
-    log,
     mask_fill,
     mul,
-    reduce_sum,
     relu,
     scale,
     slice_cols,
@@ -33,11 +32,96 @@ from attentab.data import (
     FeatureSchema,
     RawTable,
 )
-from attentab.errors import ConfigError, EncodingError, LabelError, SchemaError
+from attentab.errors import ConfigError, EncodingError, LabelError, SchemaError, ShapeError
 from attentab.tabnet import EXCLUDED_SCORE, SPARSITY_EPS, ForwardOutput
 
 FD_H = 1e-5
 REL_FLOOR = 1e-6
+
+
+# ------------------------------------------------------ retired generic ops
+#
+# Generic tape ops the model recorded before one `embed_columns` record
+# replaced its per-column `embedding` records and their `concat_cols`, and
+# one `mean_entropy` record replaced the per-step `add_const`, `log`, `mul`
+# and `reduce_sum` chain. Kept verbatim as oracle code: `reference_forward`
+# records them, and `reduce_sum` is the finite-difference harness's
+# reduction to a scalar loss.
+
+
+def reduce_sum(tape: Tape | None, x: Tensor, axis: int | None = None) -> Tensor:
+    out = Tensor(x.data.sum(axis=axis))
+    if tape is not None:
+        shape = x.data.shape
+
+        def bwd(g):
+            if axis is None:
+                return (np.broadcast_to(g, shape).copy(),)
+            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+
+        tape.record("reduce_sum", (x,), out, bwd)
+    return out
+
+
+def add_const(tape: Tape | None, x: Tensor, c: float) -> Tensor:
+    out = Tensor(x.data + c)
+    if tape is not None:
+        tape.record("add_const", (x,), out, lambda g: (g,))
+    return out
+
+
+def log(tape: Tape | None, x: Tensor) -> Tensor:
+    if np.any(x.data <= 0):
+        raise ShapeError("log: input must be strictly positive")
+    out = Tensor(np.log(x.data))
+    if tape is not None:
+        xd = x.data
+        tape.record("log", (x,), out, lambda g: (g / xd,))
+    return out
+
+
+def embedding(tape: Tape | None, table: Tensor, codes: np.ndarray) -> Tensor:
+    """Row lookup table[codes]; backward scatter-adds into the table."""
+    td = _as2d("table", "embedding", table)
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.min(initial=0) < 0 or codes.max(initial=0) >= td.shape[0]:
+        raise ShapeError(
+            f"embedding: codes outside [0, {td.shape[0]}) for table shape {table.shape}"
+        )
+    out = Tensor(td[codes])
+    if tape is not None:
+        shape = td.shape
+
+        def bwd(g):
+            gt = np.zeros(shape)
+            np.add.at(gt, codes, g)
+            return (gt,)
+
+        tape.record("embedding", (table,), out, bwd)
+    return out
+
+
+def concat_cols(tape: Tape | None, parts: Sequence[Tensor]) -> Tensor:
+    if not parts:
+        raise ShapeError("concat_cols: need at least one part")
+    widths = []
+    rows = parts[0].data.shape[0]
+    for p in parts:
+        pd = _as2d("part", "concat_cols", p)
+        if pd.shape[0] != rows:
+            raise ShapeError(
+                f"concat_cols: row counts differ ({rows} vs {pd.shape[0]})"
+            )
+        widths.append(pd.shape[1])
+    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+    if tape is not None:
+        bounds = np.cumsum([0] + widths)
+
+        def bwd(g):
+            return tuple(g[:, bounds[i] : bounds[i + 1]] for i in range(len(widths)))
+
+        tape.record("concat_cols", tuple(parts), out, bwd)
+    return out
 
 
 def rel_err(a: float, b: float, floor: float = REL_FLOOR) -> float:
@@ -319,7 +403,7 @@ def op_fd_cases(rng):
     wsum = ad.Tensor(rng.normal(size=(B, 2)))
 
     def linear_loss(tape):
-        return ad.reduce_sum(tape, ad.mul(tape, ad.linear(tape, x0, w0, b0), wsum))
+        return reduce_sum(tape, ad.mul(tape, ad.linear(tape, x0, w0, b0), wsum))
 
     cases.append(("linear", linear_loss, [x0, w0, b0]))
 
@@ -333,38 +417,30 @@ def op_fd_cases(rng):
     wpair = ad.Tensor(rng.normal(size=(B, F)))
     for name, op2 in (("add", ad.add), ("mul", ad.mul)):
         def pair_loss(tape, op2=op2):
-            return ad.reduce_sum(tape, ad.mul(tape, op2(tape, y0, y1), wpair))
+            return reduce_sum(tape, ad.mul(tape, op2(tape, y0, y1), wpair))
 
         cases.append((name, pair_loss, [y0, y1]))
 
     add_case("scale", lambda t, x: ad.scale(t, x, -1.7), rng.normal(size=(B, F)))
-    add_case("add_const", lambda t, x: ad.add_const(t, x, 0.3), rng.normal(size=(B, F)))
-    add_case("log", ad.log, 0.1 + np.abs(rng.normal(size=(B, F))))
     keep = rng.random((B, F)) > 0.4
     add_case("mask_fill", lambda t, x: ad.mask_fill(t, x, keep, -3.0), rng.normal(size=(B, F)))
 
-    xr = ad.Parameter(rng.normal(size=(B, F)))
-    cr = float(rng.normal())
+    # two tables of different widths around a continuous column; each table
+    # reads one of its rows twice, so the scatter-add must accumulate
+    t0 = ad.Parameter(rng.normal(size=(5, 2)))
+    t1 = ad.Parameter(rng.normal(size=(4, 3)))
+    codes0 = rng.integers(0, 5, size=B)
+    codes0[1] = codes0[0]
+    codes1 = rng.integers(0, 4, size=B)
+    codes1[2] = codes1[0]
+    cont = rng.normal(size=B)
+    wemb = ad.Tensor(rng.normal(size=(B, 6)))
 
-    def red_loss(tape):
-        return ad.scale(tape, ad.reduce_sum(tape, xr), cr)
+    def embed_loss(tape):
+        out = ad.embed_columns(tape, [t0, None, t1], [codes0, cont, codes1])
+        return reduce_sum(tape, ad.mul(tape, out, wemb))
 
-    cases.append(("reduce_sum_all", red_loss, [xr]))
-
-    add_case("reduce_sum_rows", lambda t, x: ad.reduce_sum(t, x, axis=0), rng.normal(size=(B, F)), out_shape=(F,))
-
-    codes = rng.integers(0, 5, size=B)
-    codes[1] = codes[0]  # force a duplicate so scatter-add accumulation is probed
-    add_case("embedding", lambda t, x: ad.embedding(t, x, codes), rng.normal(size=(5, 2)), out_shape=(B, 2))
-
-    p0 = ad.Parameter(rng.normal(size=(B, 2)))
-    p1 = ad.Parameter(rng.normal(size=(B, 3)))
-    wcat = ad.Tensor(rng.normal(size=(B, 5)))
-
-    def concat_loss(tape):
-        return ad.reduce_sum(tape, ad.mul(tape, ad.concat_cols(tape, [p0, p1]), wcat))
-
-    cases.append(("concat_cols", concat_loss, [p0, p1]))
+    cases.append(("embed_columns", embed_loss, [t0, t1]))
 
     add_case("slice_cols", lambda t, x: ad.slice_cols(t, x, 1, 3), rng.normal(size=(B, F)), out_shape=(B, 2))
 
@@ -375,7 +451,7 @@ def op_fd_cases(rng):
     wbn = ad.Tensor(rng.normal(size=(6, F)))
 
     def bn_loss(tape):
-        return ad.reduce_sum(tape, ad.mul(tape, bn(tape, xbn), wbn))
+        return reduce_sum(tape, ad.mul(tape, bn(tape, xbn), wbn))
 
     cases.append(("batch_norm_train", bn_loss, [xbn, bn.gamma, bn.beta]))
 
@@ -386,20 +462,37 @@ def op_fd_cases(rng):
     wprior = ad.Tensor(rng.normal(size=(B, F)))
     for name, given in (("relax_prior_first", None), ("relax_prior_later", prior)):
         def prior_loss(tape, given=given):
-            return ad.reduce_sum(tape, ad.mul(tape, ad.relax_prior(tape, given, mask, 1.3), wprior))
+            return reduce_sum(tape, ad.mul(tape, ad.relax_prior(tape, given, mask, 1.3), wprior))
 
         cases.append((name, prior_loss, [mask] if given is None else [prior, mask]))
 
-    return cases
+    # masks with exact zeros in every row, over one step and three; the
+    # zeros come from a mask_fill, which passes no gradient there, so no
+    # central difference steps below zero (sparsemax would hide a gradient
+    # error that is constant over a row's support)
+    for n_steps in (1, 3):
+        entries = [ad.Parameter(rng.uniform(0.05, 1.0, size=(B, F))) for _ in range(n_steps)]
+        kept = [rng.random((B, F)) > 0.4 for _ in range(n_steps)]
+        for k in kept:
+            k[:, 0], k[:, 1] = False, True
 
+        def entropy_loss(tape, entries=entries, kept=kept):
+            masks = [ad.mask_fill(tape, p, k, 0.0) for p, k in zip(entries, kept)]
+            return ad.mean_entropy(tape, masks, 1e-10)
+
+        cases.append((f"mean_entropy_{n_steps}_steps", entropy_loss, entries))
+
+    return cases
 
 
 # ----------------------------------------------- layered forward reference
 #
 # The layer-by-layer forward of both modes as it ran before train and eval
-# mode shared one step loop, kept as the equivalence oracle: the all-ones
-# prior before the first step, the prior update as a scale, an add_const and
-# a mul, and the attentive transformer applying the prior. Train mode runs
+# mode shared one step loop, kept as the equivalence oracle: one embedding
+# record per categorical column joined by a concat_cols, the all-ones prior
+# before the first step, the prior update as a scale, an add_const and a
+# mul, the attentive transformer applying the prior, and each step's mask
+# entropy as an add_const, log, mul and reduce_sum. Train mode runs
 # the layers' train batch norm on the given tape and must match the model bit
 # for bit. Eval mode writes out the old `BatchNorm` eval formula, so the
 # oracle shares no arithmetic with the folded `_EvalPlan`.
@@ -433,10 +526,20 @@ def reference_attentive(att, a_prev, prior, tape=None, training=False):
     return sparsemax(tape, scores)
 
 
+def reference_embed(model, X: np.ndarray, tape=None) -> Tensor:
+    parts: list[Tensor] = []
+    for (name, kind, _), col in zip(model._columns, model._column_values(X)):
+        if kind == KIND_CONTINUOUS:
+            parts.append(Tensor(col[:, None].copy()))
+        else:
+            parts.append(embedding(tape, model.embeddings[name], col))
+    return concat_cols(tape, parts)
+
+
 def reference_forward(model, X: np.ndarray, tape=None, training=False) -> ForwardOutput:
     """Full pipeline: embed, normalize, then n_steps masked decision steps."""
     cfg = model.config
-    feats = reference_batch_norm(model.input_bn, model.embed(tape, X), tape, training)
+    feats = reference_batch_norm(model.input_bn, reference_embed(model, X, tape), tape, training)
     B = feats.data.shape[0]
 
     split = reference_feature_transformer(model.transformers[0], feats, tape, training)

@@ -18,11 +18,15 @@ from conftest import continuous_schema
 from helpers import (
     FD_H,
     AdamReference,
+    add_const,
     batch_norm_train_reference,
+    embedding,
     glu_backward_reference,
     glu_reciprocal,
     grad_check,
+    log,
     op_fd_cases,
+    reduce_sum,
     weighted_sum_loss,
 )
 
@@ -41,7 +45,7 @@ class TestTape:
     def test_grad_of_sum_of_squares_is_two_p(self, rng):
         p = ad.Parameter(rng.normal(size=(3, 4)))
         tape = ad.Tape()
-        loss = ad.reduce_sum(tape, ad.mul(tape, p, p))
+        loss = reduce_sum(tape, ad.mul(tape, p, p))
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, 2.0 * p.data, rtol=0, atol=0)
 
@@ -49,8 +53,8 @@ class TestTape:
         p = ad.Parameter(rng.normal(size=(2, 2)))
         tape = ad.Tape()
         # p enters the loss through two separate records: d/dp (sum(p) + sum(2p)) = 3
-        loss = ad.reduce_sum(
-            tape, ad.add(tape, ad.scale(tape, p, 2.0), ad.add_const(tape, p, 0.0))
+        loss = reduce_sum(
+            tape, ad.add(tape, ad.scale(tape, p, 2.0), ad.scale(tape, p, 1.0))
         )
         tape.backward(loss)
         np.testing.assert_array_equal(p.grad, np.full((2, 2), 3.0))
@@ -59,7 +63,7 @@ class TestTape:
         p = ad.Parameter(rng.normal(size=(2, 3)))
         tape = ad.Tape()
         ad.relu(tape, p)  # recorded but never reaches the loss
-        loss = ad.reduce_sum(tape, ad.mul(tape, p, p))
+        loss = reduce_sum(tape, ad.mul(tape, p, p))
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, 2.0 * p.data, rtol=0, atol=0)
 
@@ -68,7 +72,7 @@ class TestTape:
 
         def run():
             tape = ad.Tape()
-            loss = ad.reduce_sum(tape, ad.mul(tape, p, p))
+            loss = reduce_sum(tape, ad.mul(tape, p, p))
             tape.backward(loss)
 
         run()
@@ -82,7 +86,7 @@ class TestTape:
         p = ad.Parameter(rng.normal(size=(2, 2)))
         c = ad.Tensor(rng.normal(size=(2, 2)))
         tape = ad.Tape()
-        loss = ad.reduce_sum(tape, ad.mul(tape, p, c))
+        loss = reduce_sum(tape, ad.mul(tape, p, c))
         tape.backward(loss)
         np.testing.assert_array_equal(p.grad, c.data)
         assert not hasattr(c, "grad")
@@ -173,39 +177,90 @@ class TestForwardValues:
         out = ad.softmax_logprob(None, ad.Tensor(np.array([row]))).data
         assert abs(np.exp(out).sum() - 1.0) < 1e-9
 
-    def test_log_rejects_non_positive(self):
-        with pytest.raises(ShapeError):
-            ad.log(None, ad.Tensor(np.array([[0.0, 1.0]])))
-
     def test_mask_fill_fills_and_blocks_gradient(self):
         keep = np.array([[True, False, True]])
         x = ad.Parameter(np.array([[1.0, 2.0, 3.0]]))
         tape = ad.Tape()
         out = ad.mask_fill(tape, x, keep, -9.0)
         np.testing.assert_array_equal(out.data, [[1.0, -9.0, 3.0]])
-        tape.backward(ad.reduce_sum(tape, out))
+        tape.backward(reduce_sum(tape, out))
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 1.0]])
 
     def test_embedding_duplicate_codes_accumulate(self):
         table = ad.Parameter(np.arange(10.0).reshape(5, 2))
         tape = ad.Tape()
-        out = ad.embedding(tape, table, np.array([0, 0, 3]))
+        out = ad.embed_columns(tape, [table], [np.array([0, 0, 3])])
         np.testing.assert_array_equal(out.data, [[0.0, 1.0], [0.0, 1.0], [6.0, 7.0]])
-        tape.backward(ad.reduce_sum(tape, out))
+        tape.backward(reduce_sum(tape, out))
         want = np.zeros((5, 2))
         want[0] = 2.0  # looked up twice
         want[3] = 1.0
         np.testing.assert_array_equal(table.grad, want)
 
-    def test_embedding_out_of_range_code(self):
-        with pytest.raises(ShapeError):
-            ad.embedding(None, ad.Tensor(np.ones((4, 2))), np.array([0, 4]))
-
     def test_concat_then_slice_round_trips(self, rng):
-        a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
-        cat = ad.concat_cols(None, [ad.Tensor(a), ad.Tensor(b)])
-        np.testing.assert_array_equal(ad.slice_cols(None, cat, 0, 2).data, a)
-        np.testing.assert_array_equal(ad.slice_cols(None, cat, 2, 6).data, b)
+        # a continuous column, a table lookup and another continuous column
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        table, codes = rng.normal(size=(5, 4)), np.array([4, 0, 4])
+        cat = ad.embed_columns(None, [None, ad.Tensor(table), None], [a, codes, b])
+        np.testing.assert_array_equal(ad.slice_cols(None, cat, 0, 1).data[:, 0], a)
+        np.testing.assert_array_equal(ad.slice_cols(None, cat, 1, 5).data, table[codes])
+        np.testing.assert_array_equal(ad.slice_cols(None, cat, 5, 6).data[:, 0], b)
+
+    def test_embed_columns_records_only_parameter_tables(self, rng):
+        table, frozen = ad.Parameter(rng.normal(size=(3, 2))), ad.Tensor(rng.normal(size=(3, 2)))
+        codes = np.array([2, 1])
+        tape = ad.Tape()
+        ad.embed_columns(tape, [frozen, None], [codes, rng.normal(size=2)])
+        assert len(tape) == 0
+        ad.embed_columns(tape, [frozen, table, None], [codes, codes, rng.normal(size=2)])
+        assert [(r.op, r.inputs) for r in tape._records] == [("embed_columns", (table,))]
+
+    def test_embed_columns_backward_bit_identical_to_add_at(self, rng):
+        # 300 rows over 7 codes: every table row sums many gradients
+        tables = [ad.Parameter(rng.normal(size=(7, w))) for w in (1, 4, 3)]
+        codes = [rng.integers(0, 7, size=300) for _ in tables]
+        values = [codes[0], rng.normal(size=300), codes[1], codes[2]]
+        g = rng.normal(scale=1e3, size=(300, 9)) * rng.random((300, 9)) ** 8
+        tape = ad.Tape()
+        out = ad.embed_columns(tape, [tables[0], None, tables[1], tables[2]], values)
+        got = tape._records[-1].backward(g)
+
+        old = ad.Tape()
+        parts = [embedding(old, t, c) for t, c in zip(tables, codes)]
+        assert np.array_equal(
+            out.data,
+            np.concatenate([parts[0].data, values[1][:, None], parts[1].data, parts[2].data], axis=1),
+        )
+        starts = [0, 2, 6]
+        for t, start, rec, grad in zip(tables, starts, old._records, got):
+            (want,) = rec.backward(g[:, start : start + t.data.shape[1]])
+            assert np.array_equal(grad, want)
+
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    def test_mean_entropy_bit_identical_to_retired_chain(self, rng, n_steps):
+        # the value and each mask's gradient equal the per-step add_const,
+        # log, mul and reduce_sum chain, exact zeros included
+        masks = [
+            ad.Parameter(rng.random((5, 6)) * (rng.random((5, 6)) > 0.5)) for _ in range(n_steps)
+        ]
+        tape = ad.Tape()
+        got = ad.mean_entropy(tape, masks, 1e-10)
+        tape.backward(ad.scale(tape, got, 0.37))
+        new_grads = [m.grad.copy() for m in masks]
+
+        for m in masks:
+            m.zero_grad()
+        tape = ad.Tape()
+        total = None
+        for m in masks:
+            ent = reduce_sum(tape, ad.mul(tape, m, log(tape, add_const(tape, m, 1e-10))))
+            total = ent if total is None else ad.add(tape, total, ent)
+        want = ad.scale(tape, total, -1.0 / (n_steps * 5))
+        tape.backward(ad.scale(tape, want, 0.37))
+        assert (masks[0].data == 0.0).any()
+        assert np.array_equal(got.data, want.data)
+        for new, m in zip(new_grads, masks):
+            assert np.array_equal(new, m.grad)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -215,7 +270,6 @@ class TestForwardValues:
         ta, tb = ad.Tensor(a), ad.Tensor(b)
         np.testing.assert_array_equal(ad.add(None, ta, tb).data, a + b)
         np.testing.assert_array_equal(ad.mul(None, ta, tb).data, a * b)
-        np.testing.assert_array_equal(ad.reduce_sum(None, ta, axis=0).data, a.sum(axis=0))
 
 
 # ----------------------------------------------------------------- gradients
@@ -250,7 +304,7 @@ class TestGradients:
         fit(model, ds, stratified_split(ds, 0.25, 0), TrainConfig(
             max_epochs=1, batch_size=24, patience=1, lr_patience=1, loss_kind="focal"
         ))
-        assert {"embedding", "relax_prior", "focal_nll"} <= set(ops)
+        assert {"embed_columns", "mean_entropy", "relax_prior", "focal_nll"} <= set(ops)
         names = [name for name, _, _ in op_fd_cases(np.random.default_rng(0))] + ["focal_nll"]
         missing = {op for op in ops if not any(n == op or n.startswith(op + "_") for n in names)}
         assert not missing
@@ -268,7 +322,7 @@ class TestGradients:
             px, pw = ad.Parameter(x.copy()), ad.Parameter(w.copy())
             tape = ad.Tape()
             h = ad.relu(tape, ad.linear(tape, px, pw, ad.Tensor(np.zeros(3))))
-            loss = ad.reduce_sum(tape, ad.mul(tape, h, h))
+            loss = reduce_sum(tape, ad.mul(tape, h, h))
             tape.backward(loss)
             return px.grad.copy(), pw.grad.copy()
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from attentab.cli import build_parser, load_config_file, main
+from attentab.container import MODEL_MAGIC, read_container, write_container
 from attentab.data import FeatureSchema
 from attentab.tabnet import load_model
 
@@ -193,6 +194,28 @@ class TestEvaluate:
             capsys,
         )
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.update(train_info="oops"),
+            lambda h: h["train_info"].update(loss={"kind": "focal", "gamma": 2.0}),
+            lambda h: h.update(fitted="no"),
+        ],
+        ids=["train_info_not_an_object", "focal_spec_without_alpha", "fitted_not_a_bool"],
+    )
+    def test_malformed_train_info_exits_two_naming_the_file(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        header, arrays = read_container(str(workspace / "model.attb"), MODEL_MAGIC)
+        edit(header)
+        bad = tmp_path / "model.attb"
+        write_container(str(bad), MODEL_MAGIC, header, list(arrays.items()))
+        code, _, err = run(
+            ["evaluate", "--model", str(bad), "--dataset", str(workspace / "dataset.attd")],
+            capsys,
+        )
+        assert code == 2 and f"error: {bad}: " in err
 
     def test_schema_mismatch_exits_two(self, workspace, tmp_path, monkeypatch, capsys):
         in_dir(monkeypatch, tmp_path)

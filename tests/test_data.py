@@ -601,6 +601,30 @@ class TestInspectAndPersistence:
         with pytest.raises(PersistenceError, match="d.attd"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h, a: a.update(labels=a["labels"][:-3]), "labels must be 30 whole"),
+            (lambda h, a: a["labels"].__setitem__(4, 7.0), r"in \[0, 3\)"),
+            (lambda h, a: a.update(labels=a["labels"] + 0.5), "whole numbers"),
+            (lambda h, a: a["class_counts"].__setitem__(0, 11.0), "class_counts"),
+            (lambda h, a: a.update(features=a["features"][1:]), "header gives"),
+            (lambda h, a: h.update(n_features=2) or a.update(features=np.ones((30, 2))), "schema 1 "),
+        ],
+        ids=["labels_short", "label_out_of_range", "fractional_labels", "stale_class_counts",
+             "features_off_header", "features_off_schema"],
+    )
+    def test_inconsistent_container_names_the_file(self, tmp_path, edit, match):
+        # each of these used to load: misaligned rows, rows that silently
+        # left both splits, truncated labels, inf% in inspect
+        path = str(tmp_path / "d.attd")
+        save_dataset(path, toy_dataset((10, 10, 10)))
+        header, arrays = read_container(path, DATASET_MAGIC)
+        edit(header, arrays)
+        write_container(path, DATASET_MAGIC, header, list(arrays.items()))
+        with pytest.raises(PersistenceError, match=f"d.attd: .*{match}"):
+            load_dataset(path)
+
 
 class TestContainerManifest:
     @pytest.mark.parametrize(

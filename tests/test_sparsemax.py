@@ -16,6 +16,7 @@ from attentab.tabnet import EXCLUDED_SCORE, TabNetClassifier, TabNetConfig
 
 from helpers import (
     grad_check,
+    reduce_sum,
     sparsemax_bisect,
     sparsemax_margin,
     sparsemax_negate_sort,
@@ -272,7 +273,7 @@ class TestBackward:
         tape = ad.Tape()
         out = ad.sparsemax(tape, x)
         g = np.array([[1.0, 3.0, 7.0]])
-        loss = ad.reduce_sum(tape, ad.mul(tape, out, ad.Tensor(g)))
+        loss = reduce_sum(tape, ad.mul(tape, out, ad.Tensor(g)))
         tape.backward(loss)
         # on the support: g - mean(g over support); off it: zero
         np.testing.assert_allclose(x.grad, [[-1.0, 1.0, 0.0]], atol=1e-12)
@@ -280,7 +281,7 @@ class TestBackward:
     def test_saturated_row_has_zero_gradient(self, rng):
         x = ad.Parameter(np.array([[5.0, -5.0]]))
         tape = ad.Tape()
-        loss = ad.reduce_sum(
+        loss = reduce_sum(
             tape, ad.mul(tape, ad.sparsemax(tape, x), ad.Tensor(np.array([[2.0, 3.0]])))
         )
         tape.backward(loss)

@@ -217,10 +217,10 @@ class TestMasksAndPrior:
         step_scores = [np.zeros((5, 4)), np.full((5, 4), -1.0)]
         for scores in step_scores:
             scores[:, 2] = 100.0
-        for tape, training in ((None, False), (ad.Tape(), True)):
+        for tape in (None, ad.Tape()):
             out = tabnet._decision_steps(
                 tape, model, feats, lambda t, x: ad.Tensor(np.ones((5, 4))),
-                lambda i, a_prev: ad.Tensor(step_scores[i]), training,
+                lambda i, a_prev: ad.Tensor(step_scores[i]),
             )
             assert (out.masks[0].data[:, 2] == 1.0).all()
             assert (out.masks[1].data[:, 2] == 0.0).all()
@@ -486,6 +486,39 @@ def assert_priors_exhausted(masks):
     assert (prior == 0.0).any()  # exhausted priors reached the exclusion
 
 
+def one_train_step_ops(n_categorical, n_steps):
+    """The ops one train step records, as `fit` runs it, on a model with
+    ``n_categorical`` categorical columns and one continuous column."""
+    rng = np.random.default_rng(n_categorical)
+    rows = [
+        [str(i)] + [f"k{rng.integers(3)}" for _ in range(n_categorical)]
+        + [repr(float(rng.normal())), "ab"[i % 2]]
+        for i in range(16)
+    ]
+    columns = ["id"] + [f"c{k}" for k in range(n_categorical)] + ["x", "label"]
+    table = RawTable(columns=columns, rows=rows)
+    ds = encode(table, fit_schema(table, "label"))
+    assert sum(c.kind == KIND_CATEGORICAL for c in ds.schema.columns) == n_categorical
+    model = TabNetClassifier(TabNetConfig(n_d=2, n_a=2, n_steps=n_steps, embed_dims=2), ds.schema)
+    tape = ad.Tape()
+    out = model.forward(tape, ds.features, training=True)
+    loss = batch_loss(tape, out.logits, ds.labels, {"kind": "cce"}).scalar
+    tape.backward(ad.add(tape, loss, ad.scale(tape, out.sparsity, 1e-3)))
+    return [r.op for r in tape._records]
+
+
+class TestTapeRecords:
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    def test_one_gather_and_one_penalty_record_per_train_step(self, n_steps):
+        counts = []
+        for n_categorical in (1, 5):
+            ops = one_train_step_ops(n_categorical, n_steps)
+            assert ops.count("embed_columns") == 1
+            assert ops.count("mean_entropy") == 1
+            counts.append(len(ops))
+        assert counts[0] == counts[1]  # no record per categorical column
+
+
 class TestEvalPlan:
     """Eval mode folds every batch norm into the map before it; the layered
     computation it replaced is kept in helpers as the oracle."""
@@ -503,8 +536,11 @@ class TestEvalPlan:
     def test_train_mode_bit_identical_to_layered_reference(
         self, n_steps, embed_dims, virtual_batch, saturate
     ):
-        # the shared step loop starts from no prior and updates it in one
-        # record; the reference keeps the all-ones prior and three records
+        # the model gathers every column in one record, starts the step loop
+        # from no prior, updates it in one record and records the entropy
+        # penalty once after the loop; the reference keeps one embedding
+        # record per table and a concat, the all-ones prior, three records
+        # per prior update and four per step's entropy
         model, X, y = grid_model(n_steps, embed_dims, virtual_batch, saturate)
         ref, _, _ = grid_model(n_steps, embed_dims, virtual_batch, saturate)
         spec = {"kind": "focal", "gamma": 2.0, "alpha": np.array([0.5, 1.0, 2.0])}

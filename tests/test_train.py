@@ -206,6 +206,31 @@ class TestLossSpec:
         with pytest.raises(ConfigError):
             tr.batch_loss(None, logits, labels, {"kind": "hinge"})
 
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ("oops", "kind must be one of"),
+            ({"alpha": [1.0, 1.0]}, "kind must be one of"),
+            ({"kind": "balanced"}, "has no 'alpha'"),
+            ({"kind": "focal", "alpha": [1.0, 1.0]}, "has no 'gamma'"),
+            ({"kind": "focal", "alpha": [1.0, 1.0], "gamma": "2"}, "gamma must be a number"),
+            ({"kind": "balanced", "alpha": [1.0]}, "alpha has shape"),
+            ({"kind": "balanced", "alpha": [1.0, float("nan")]}, "finite and strictly positive"),
+        ],
+    )
+    def test_malformed_spec_is_a_config_error(self, spec, match):
+        with pytest.raises(ConfigError, match=match):
+            tr.loss_terms(spec, 2)
+
+    def test_loss_terms_of_each_kind(self):
+        cfg = tr.TrainConfig(loss_kind="focal", alpha_mode="auto", focal_gamma=1.5)
+        for kind, gamma in (("cce", 0.0), ("balanced", 0.0), ("focal", 1.5)):
+            cfg.loss_kind = kind
+            alpha, got = tr.loss_terms(tr.resolve_loss_spec(cfg, np.array([75, 25])), 2)
+            want = [1.0, 1.0] if kind == "cce" else [2 / 3, 2.0]
+            np.testing.assert_allclose(alpha, want, atol=1e-12)
+            assert got == gamma
+
 
 class TestEvaluate:
     def setup_model(self):
