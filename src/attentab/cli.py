@@ -213,18 +213,17 @@ def _load_pair(args, cfg: dict):
     return model, dataset
 
 
-def _split_indices(model, dataset, split_name: str):
+def _split_indices(dataset, split: tuple | None, split_name: str):
     import numpy as np
 
     from . import data as data_mod
 
     if split_name == "all":
         return np.arange(dataset.n_rows)
-    train_cfg = (model.train_info or {}).get("train_config")
-    if not train_cfg:
+    if split is None:
         raise ConfigError("model carries no training info; only --split all is available")
-    split = data_mod.stratified_split(dataset, train_cfg["val_fraction"], train_cfg["seed"])
-    return split.train_indices if split_name == "train" else split.val_indices
+    parts = data_mod.stratified_split(dataset, *split)
+    return parts.train_indices if split_name == "train" else parts.val_indices
 
 
 def cmd_evaluate(args, cfg: dict) -> int:
@@ -236,8 +235,10 @@ def cmd_evaluate(args, cfg: dict) -> int:
     with decoding(Paths(**_settings(args, cfg, "paths")).model):
         loss_spec = info.get("loss") or {"kind": "cce"}
         train_mod.loss_terms(loss_spec, model.n_classes)
-        f1_average = info.get("train_config", {}).get("f1_average", "macro")
-    indices = _split_indices(model, dataset, args.split)
+        train_cfg = info.get("train_config") or {}
+        f1_average = train_cfg.get("f1_average", "macro")
+        split = (train_cfg["val_fraction"], train_cfg["seed"]) if train_cfg else None
+    indices = _split_indices(dataset, split, args.split)
     loss, acc, f1 = train_mod.evaluate(model, dataset, indices, loss_spec, f1_average)
     print(
         json.dumps(

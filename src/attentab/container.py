@@ -101,7 +101,7 @@ def decoding(path: str):
     objects from a container's contents as a PersistenceError naming ``path``."""
     try:
         yield
-    except (AttentabError, KeyError, TypeError, ValueError) as exc:
+    except (AttentabError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(
             f"{path}: missing or mistyped header field or array: {type(exc).__name__}: {exc}"
         ) from exc

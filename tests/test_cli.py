@@ -201,8 +201,13 @@ class TestEvaluate:
             lambda h: h.update(train_info="oops"),
             lambda h: h["train_info"].update(loss={"kind": "focal", "gamma": 2.0}),
             lambda h: h.update(fitted="no"),
+            lambda h: h["train_info"].update(train_config="x"),
+            lambda h: h["train_info"]["train_config"].pop("seed"),
         ],
-        ids=["train_info_not_an_object", "focal_spec_without_alpha", "fitted_not_a_bool"],
+        ids=[
+            "train_info_not_an_object", "focal_spec_without_alpha", "fitted_not_a_bool",
+            "train_config_not_an_object", "train_config_without_seed",
+        ],
     )
     def test_malformed_train_info_exits_two_naming_the_file(
         self, workspace, tmp_path, capsys, edit
