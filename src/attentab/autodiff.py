@@ -181,8 +181,17 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
     return out
 
 
-def glu(tape: Tape | None, x: Tensor) -> Tensor:
-    """Gated linear unit on the last axis: first half times sigmoid of second half."""
+SQRT_HALF = math.sqrt(0.5)
+
+
+def glu(tape: Tape | None, x: Tensor, residual: Tensor | None = None) -> Tensor:
+    """Gated linear unit on the last axis: first half times sigmoid of second half.
+
+    With a ``residual`` r the output is the residual block ``(a * sig + r)
+    * sqrt(0.5)``, built in the one output buffer and recorded once; its
+    backward hands r the incoming gradient times sqrt(0.5), and the gate
+    the same scaled gradient, as an add record followed by a scale gives.
+    """
     xd = _as2d("x", "glu", x)
     if xd.shape[1] % 2 != 0:
         raise ShapeError(f"glu: last dimension must be even, got shape {x.shape}")
@@ -197,9 +206,17 @@ def glu(tape: Tape | None, x: Tensor) -> Tensor:
         np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
-    out = Tensor(a * sig)
+    out = a * sig
+    if residual is not None:
+        if residual.shape != out.shape:
+            raise ShapeError(f"glu: residual has shape {residual.shape}, expected {out.shape}")
+        out += residual.data
+        out *= SQRT_HALF
+    result = Tensor(out)
     if tape is not None:
         def bwd(g):
+            if residual is not None:
+                g = g * SQRT_HALF
             gx = np.empty_like(xd)
             np.multiply(g, sig, out=gx[:, :half])
             # g * a * sig * (1 - sig), left to right, in one contiguous
@@ -208,10 +225,10 @@ def glu(tape: Tape | None, x: Tensor) -> Tensor:
             ggate *= sig
             ggate *= 1.0 - sig
             gx[:, half:] = ggate
-            return (gx,)
+            return (gx,) if residual is None else (gx, g)
 
-        tape.record("glu", (x,), out, bwd)
-    return out
+        tape.record("glu", (x,) if residual is None else (x, residual), result, bwd)
+    return result
 
 
 # Sparsemax looks for each row's support in its SPARSEMAX_LEAD largest
@@ -365,6 +382,40 @@ def relax_prior(tape: Tape | None, prior: Tensor | None, mask: Tensor, gamma: fl
     return out
 
 
+# A prior of exactly zero must keep a feature out of the mask even when its
+# score would top the row (a zero product wins sparsemax whenever every
+# kept score is negative), so exhausted features are pushed far below any
+# reachable score instead of relying on the multiplicative zero.
+EXCLUDED_SCORE = -1e30
+
+
+def apply_prior(tape: Tape | None, prior: Tensor | None, scores: Tensor) -> Tensor:
+    """A decision step's scores ``prior * scores``, with every feature whose
+    prior is not positive set to ``EXCLUDED_SCORE``, as one record;
+    ``prior=None`` is the all-ones prior before the first step and passes
+    the scores through. The backward zeroes the excluded entries' gradient
+    ``g`` and returns ``(g * scores, g * prior)``."""
+    if prior is None:
+        return scores
+    _same_shape("apply_prior", prior, scores)
+    pd, sd = prior.data, scores.data
+    out = pd * sd
+    keep = pd > 0.0
+    if keep.all():
+        keep = None
+    else:
+        out[~keep] = EXCLUDED_SCORE
+    result = Tensor(out)
+    if tape is not None:
+        def bwd(g):
+            if keep is not None:
+                g = g * keep
+            return g * sd, g * pd
+
+        tape.record("apply_prior", (prior, scores), result, bwd)
+    return result
+
+
 def mean_entropy(tape: Tape | None, masks: Sequence[Tensor], eps: float) -> Tensor:
     """The mask-entropy penalty ``-(e_1 + ... + e_n) / (n * B)`` over ``n``
     masks of ``B`` rows, ``e_i = sum(M_i * log(M_i + eps))``, as one record.
@@ -382,16 +433,6 @@ def mean_entropy(tape: Tape | None, masks: Sequence[Tensor], eps: float) -> Tens
             return [gc * lg + (gc * m.data) / s for m, lg, s in zip(masks, logs, shifted)]
 
         tape.record("mean_entropy", masks, out, bwd)
-    return out
-
-
-def mask_fill(tape: Tape | None, x: Tensor, keep: np.ndarray, fill: float) -> Tensor:
-    """Replace entries where ``keep`` is False by ``fill``; gradient passes on kept entries."""
-    if keep.shape != x.shape:
-        raise ShapeError(f"mask_fill: mask shape {keep.shape} does not match {x.shape}")
-    out = Tensor(np.where(keep, x.data, fill))
-    if tape is not None:
-        tape.record("mask_fill", (x,), out, lambda g: (g * keep,))
     return out
 
 
@@ -643,6 +684,3 @@ class Adam:
         den += self.eps
         np.multiply(self.lr, np.divide(m, bc1, out=u), out=u)
         self._data -= np.divide(u, den, out=u)
-
-
-SQRT_HALF = math.sqrt(0.5)

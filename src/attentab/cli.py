@@ -237,7 +237,12 @@ def cmd_evaluate(args, cfg: dict) -> int:
         train_mod.loss_terms(loss_spec, model.n_classes)
         train_cfg = info.get("train_config") or {}
         f1_average = train_cfg.get("f1_average", "macro")
-        split = (train_cfg["val_fraction"], train_cfg["seed"]) if train_cfg else None
+        split = None
+        if train_cfg:
+            split = (train_cfg["val_fraction"], train_cfg["seed"])
+            train_mod.TrainConfig(
+                f1_average=f1_average, val_fraction=split[0], seed=split[1]
+            ).validate()
     indices = _split_indices(dataset, split, args.split)
     loss, acc, f1 = train_mod.evaluate(model, dataset, indices, loss_spec, f1_average)
     print(

@@ -6,9 +6,10 @@ sparsemax mask produced by an attentive transformer (scaled by a cumulative
 prior so features get "spent"), transforms the masked features through a
 GLU stack, and contributes relu(d) to the aggregate decision. Train and
 eval mode embed the columns with one gather (``embed_columns``) and run one
-step loop (:func:`_decision_steps`); eval mode differs only in its tables
-and maps, with every batch norm folded in. Train mode adds the mask-entropy
-sparsity penalty for the training loss as one record after the loop.
+step loop (:func:`_decision_steps`) over the same GLU-stack code; eval mode
+differs only in its tables and maps, with every fc + BN pair folded into one
+linear map. Train mode adds the mask-entropy sparsity penalty for the
+training loss as one record after the loop.
 
 Conventions the original TabNet write-up leaves open follow the common
 reference implementation: prior update P <- P * (gamma_relax - M), residual
@@ -19,28 +20,27 @@ penalty, and ghost batch normalization inside the transformer blocks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .autodiff import (
-    SQRT_HALF,
     BatchNorm,
     Parameter,
     Registry,
     Tape,
     Tensor,
     add,
+    apply_prior,
     embed_columns,
     glu,
     linear,
-    mask_fill,
     mean_entropy,
     mul,
     register,
     relax_prior,
     relu,
-    scale,
     slice_cols,
     sparsemax,
 )
@@ -55,12 +55,6 @@ from .errors import (
     check_int,
     check_number,
 )
-
-# A prior of exactly zero must keep a feature out of the mask even when its
-# score would top the row (a zero product wins sparsemax whenever every
-# kept score is negative), so exhausted features are pushed far below any
-# reachable score instead of relying on the multiplicative zero.
-EXCLUDED_SCORE = -1e30
 
 SPARSITY_EPS = 1e-10
 
@@ -124,13 +118,15 @@ class LinearLayer:
         return linear(tape, x, self.w, self.b)
 
 
-class GLUBlock:
-    """linear -> batch norm -> gated linear unit.
+class FcBn:
+    """A linear layer and the batch norm after it: one GLU layer's input
+    map in a feature transformer, or an attentive transformer's scores
+    before the prior.
 
-    A block can borrow its linear layer and its BN scale/shift from another
-    block (parameter sharing across decision steps). Borrowed pieces were
+    A layer can borrow its linear layer and its BN scale/shift from another
+    (parameter sharing across decision steps). Borrowed pieces were
     registered by their creator and are not registered again; BN running
-    statistics always stay local to the block, so each call site normalizes
+    statistics always stay local to the layer, so each call site normalizes
     with statistics of its own input distribution.
     """
 
@@ -146,12 +142,12 @@ class GLUBlock:
         registry: Registry | None = None,
     ):
         self.fc = (
-            LinearLayer(rng, in_dim, 2 * out_dim, f"{name}/fc", registry)
+            LinearLayer(rng, in_dim, out_dim, f"{name}/fc", registry)
             if shared_fc is None
             else shared_fc
         )
         self.bn = BatchNorm(
-            2 * out_dim,
+            out_dim,
             virtual_batch=virtual_batch,
             name=f"{name}/bn",
             affine=shared_affine,
@@ -159,44 +155,22 @@ class GLUBlock:
         )
 
     def __call__(self, tape: Tape | None, x: Tensor) -> Tensor:
-        return glu(tape, self.bn(tape, self.fc(tape, x)))
+        return self.bn(tape, self.fc(tape, x))
 
 
-class FeatureTransformer:
-    """Four GLU blocks; the first two borrow shared parameters, the last two
-    are step-specific. Blocks after the first add a residual scaled by
-    sqrt(0.5) so repeated application keeps variance roughly constant.
-    """
-
-    def __init__(self, blocks: list[GLUBlock]):
-        self.blocks = blocks
-
-    def __call__(self, tape: Tape | None, x: Tensor) -> Tensor:
-        h = self.blocks[0](tape, x)
-        for block in self.blocks[1:]:
-            h = scale(tape, add(tape, block(tape, h), h), SQRT_HALF)
-        return h
+# A map of one layer's input, fc -> BN in train mode or its folded linear
+# map in eval mode, called as layer(tape, x).
+Layer = Callable[[Tape | None, Tensor], Tensor]
 
 
-class AttentiveTransformer:
-    """A step's feature scores before the prior: BN(FC(a_prev))."""
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        n_a: int,
-        d_features: int,
-        virtual_batch: int | None,
-        name: str,
-        registry: Registry | None = None,
-    ):
-        self.fc = LinearLayer(rng, n_a, d_features, f"{name}/fc", registry)
-        self.bn = BatchNorm(
-            d_features, virtual_batch=virtual_batch, name=f"{name}/bn", registry=registry
-        )
-
-    def __call__(self, tape: Tape | None, a_prev: Tensor) -> Tensor:
-        return self.bn(tape, self.fc(tape, a_prev))
+def _glu_stack(tape: Tape | None, layers: Sequence[Layer], x: Tensor) -> Tensor:
+    """A feature transformer: a GLU over each layer's map of the previous
+    output. Layers after the first add a residual scaled by sqrt(0.5), so
+    repeated application keeps variance roughly constant."""
+    h = glu(tape, layers[0](tape, x))
+    for layer in layers[1:]:
+        h = glu(tape, layer(tape, h), residual=h)
+    return h
 
 
 @dataclass
@@ -296,28 +270,20 @@ class TabNetClassifier:
             for k in range(2)
         ]
         # Transformer 0 is the initial splitter producing a[0]; 1..n_steps
-        # serve the decision steps.
+        # serve the decision steps. Each lists the fc -> BN layers of its GLU
+        # stack: two borrow the shared parameters, two are step-specific.
+        shared = list(zip(self.shared_fcs, self.shared_affines))
         self.transformers = [
-            FeatureTransformer(
-                [
-                    GLUBlock(
-                        rng, self.d_model, width, vb, f"ft/{t}/shared/0",
-                        shared_fc=self.shared_fcs[0], shared_affine=self.shared_affines[0],
-                        registry=reg,
-                    ),
-                    GLUBlock(
-                        rng, width, width, vb, f"ft/{t}/shared/1",
-                        shared_fc=self.shared_fcs[1], shared_affine=self.shared_affines[1],
-                        registry=reg,
-                    ),
-                    GLUBlock(rng, width, width, vb, f"ft/{t}/own/0", registry=reg),
-                    GLUBlock(rng, width, width, vb, f"ft/{t}/own/1", registry=reg),
-                ]
-            )
+            [
+                FcBn(rng, fc.w.shape[0], 2 * width, vb, f"ft/{t}/shared/{k}", fc, affine, reg)
+                for k, (fc, affine) in enumerate(shared)
+            ]
+            + [FcBn(rng, width, 2 * width, vb, f"ft/{t}/own/{k}", registry=reg) for k in range(2)]
             for t in range(config.n_steps + 1)
         ]
+        # step i's feature scores before the prior: BN(FC(a[i]))
         self.attentives = [
-            AttentiveTransformer(rng, config.n_a, self.d_model, vb, f"att/{i}", reg)
+            FcBn(rng, config.n_a, self.d_model, vb, f"att/{i}", registry=reg)
             for i in range(config.n_steps)
         ]
         self.final = LinearLayer(rng, config.n_d, self.n_classes, "final", reg)
@@ -414,10 +380,7 @@ class TabNetClassifier:
             _require_rows(_row_count(X))
             return _EvalPlan(self).forward(X)
         feats = self.input_bn(tape, self.embed(tape, X))
-        out = _decision_steps(
-            tape, self, feats, lambda t, x: self.transformers[t](tape, x),
-            lambda i, a_prev: self.attentives[i](tape, a_prev),
-        )
+        out = _decision_steps(tape, self, feats, self.transformers, self.attentives)
         out.sparsity = mean_entropy(tape, out.masks, SPARSITY_EPS)
         return out
 
@@ -505,29 +468,23 @@ def _attribute(
 
 def _decision_steps(
     tape: Tape | None, model: TabNetClassifier, feats: Tensor,
-    transform: Callable[[int, Tensor], Tensor], attend: Callable[[int, Tensor], Tensor],
+    transformers: Sequence[Sequence[Layer]], attentives: Sequence[Layer],
 ) -> ForwardOutput:
     """The decision steps of both modes over normalized features, through
-    feature transformer ``transform(t, x)`` (0 is the initial splitter) and
-    step i's scores before the prior, ``attend(i, a_prev)``, into the
-    model's output layer. The output carries no sparsity penalty."""
+    the GLU stacks of ``transformers`` (0 is the initial splitter) and step
+    i's scores before the prior, ``attentives[i]``, into the model's output
+    layer. The output carries no sparsity penalty."""
     cfg = model.config
     n_d, n_a = cfg.n_d, cfg.n_a
-    a_prev = slice_cols(tape, transform(0, feats), n_d, n_d + n_a)
+    a_prev = slice_cols(tape, _glu_stack(tape, transformers[0], feats), n_d, n_d + n_a)
     prior = agg = None  # the prior is all ones before the first step
     masks, decisions = [], []
     for i in range(cfg.n_steps):
-        scores = attend(i, a_prev)
-        if prior is not None:
-            scores = mul(tape, prior, scores)
-            keep = prior.data > 0.0
-            if not keep.all():
-                scores = mask_fill(tape, scores, keep, EXCLUDED_SCORE)
-        mask = sparsemax(tape, scores)
+        mask = sparsemax(tape, apply_prior(tape, prior, attentives[i](tape, a_prev)))
         prior = relax_prior(tape, prior, mask, cfg.gamma_relax)
         masks.append(mask)
 
-        out = transform(i + 1, mul(tape, mask, feats))
+        out = _glu_stack(tape, transformers[i + 1], mul(tape, mask, feats))
         d = relu(tape, slice_cols(tape, out, 0, n_d))
         a_prev = slice_cols(tape, out, n_d, n_d + n_a)
         decisions.append(d)
@@ -554,26 +511,26 @@ def _require_rows(n: int) -> None:
         raise ConfigError("cannot score an empty row set")
 
 
-def _fold(fc: LinearLayer, bn: BatchNorm) -> tuple[Tensor, Tensor]:
-    """``bn(fc(x))`` in eval mode as one linear map ``x @ w + b``."""
-    scale, shift = bn.eval_affine()
-    return Tensor(fc.w.data * scale), Tensor(fc.b.data * scale + shift)
+def _fold(layer: FcBn) -> Layer:
+    """``layer`` in eval mode, ``bn(fc(x))``, as one linear map ``x @ w + b``."""
+    scale, shift = layer.bn.eval_affine()
+    w, b = layer.fc.w.data * scale, layer.fc.b.data * scale + shift
+    return partial(linear, w=Tensor(w), b=Tensor(b))
 
 
 class _EvalPlan:
-    """Eval-mode blocks of a model for :func:`_decision_steps`, with every
+    """Eval-mode layers of a model for :func:`_decision_steps`, with every
     batch norm folded into the map before it.
 
-    Each GLU block's and each attentive transformer's fc + BN becomes one
-    linear layer (:func:`_fold`). ``input_bn`` folds into every row of each
+    Each fc + BN layer of a feature transformer or an attentive transformer
+    becomes one linear map (:func:`_fold`), which train mode's GLU stack
+    and step loop then run. ``input_bn`` folds into every row of each
     embedding table, the reserved unseen-code row included, and into a scale
     and shift per continuous column; train mode's gather, ``embed_columns``,
     then reads the folded tables. Folding reorders float operations, so
     outputs agree with the layer-by-layer eval computation to about 1e-12,
     not bit for bit. A plan reads the model's arrays when it is built and is
-    never cached: training changes them every step. A feature transformer
-    works in place on buffers it has just allocated, so a chunk's working
-    set stays a few ``[rows, d_model]`` blocks.
+    never cached: training changes them every step.
     """
 
     def __init__(self, model: TabNetClassifier):
@@ -590,10 +547,8 @@ class _EvalPlan:
             else:
                 table = Tensor(table.data * scale[cols] + shift[cols])
             self.tables.append(table)
-        self.transformers = [
-            [_fold(block.fc, block.bn) for block in ft.blocks] for ft in model.transformers
-        ]
-        self.attentives = [_fold(att.fc, att.bn) for att in model.attentives]
+        self.transformers = [[_fold(layer) for layer in ft] for ft in model.transformers]
+        self.attentives = [_fold(att) for att in model.attentives]
 
     def embed(self, X: np.ndarray) -> Tensor:
         values = self.model._column_values(X)
@@ -601,21 +556,8 @@ class _EvalPlan:
             values[j] = values[j] * s + shift
         return embed_columns(None, self.tables, values)
 
-    def transform(self, t: int, x: Tensor) -> Tensor:
-        first, *rest = self.transformers[t]
-        h = glu(None, linear(None, x, *first))
-        for w, b in rest:
-            g = glu(None, linear(None, h, w, b)).data
-            g += h.data
-            g *= SQRT_HALF
-            h = Tensor(g)
-        return h
-
-    def attend(self, i: int, a_prev: Tensor) -> Tensor:
-        return linear(None, a_prev, *self.attentives[i])
-
     def forward(self, X: np.ndarray) -> ForwardOutput:
-        return _decision_steps(None, self.model, self.embed(X), self.transform, self.attend)
+        return _decision_steps(None, self.model, self.embed(X), self.transformers, self.attentives)
 
 
 # ------------------------------------------------------------- persistence
@@ -639,8 +581,6 @@ def load_model(path: str) -> TabNetClassifier:
     header, arrays = read_container(path, MODEL_MAGIC)
     with decoding(path):
         config = TabNetConfig(**header["config"])
-        if isinstance(config.embed_dims, list):
-            config.embed_dims = [int(d) for d in config.embed_dims]
         schema = FeatureSchema.from_dict(header["schema"])
         model = TabNetClassifier(config, schema)
         if model.n_classes != header["n_classes"]:

@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from attentab.autodiff import (
+    EXCLUDED_SCORE,
     SQRT_HALF,
     Parameter,
     Tape,
@@ -15,7 +16,6 @@ from attentab.autodiff import (
     _as2d,
     add,
     glu,
-    mask_fill,
     mul,
     relu,
     scale,
@@ -33,7 +33,7 @@ from attentab.data import (
     RawTable,
 )
 from attentab.errors import ConfigError, EncodingError, LabelError, SchemaError, ShapeError
-from attentab.tabnet import EXCLUDED_SCORE, SPARSITY_EPS, ForwardOutput
+from attentab.tabnet import SPARSITY_EPS, ForwardOutput
 
 FD_H = 1e-5
 REL_FLOOR = 1e-6
@@ -42,11 +42,13 @@ REL_FLOOR = 1e-6
 # ------------------------------------------------------ retired generic ops
 #
 # Generic tape ops the model recorded before one `embed_columns` record
-# replaced its per-column `embedding` records and their `concat_cols`, and
-# one `mean_entropy` record replaced the per-step `add_const`, `log`, `mul`
-# and `reduce_sum` chain. Kept verbatim as oracle code: `reference_forward`
-# records them, and `reduce_sum` is the finite-difference harness's
-# reduction to a scalar loss.
+# replaced its per-column `embedding` records and their `concat_cols`, one
+# `mean_entropy` record replaced the per-step `add_const`, `log`, `mul`
+# and `reduce_sum` chain, and one `apply_prior` record replaced the prior's
+# `mul` and `mask_fill`. Kept verbatim as oracle code: `reference_forward`
+# records them, `reduce_sum` is the finite-difference harness's reduction
+# to a scalar loss, and `mask_fill` makes the exact zeros of the
+# `mean_entropy` cases.
 
 
 def reduce_sum(tape: Tape | None, x: Tensor, axis: int | None = None) -> Tensor:
@@ -77,6 +79,16 @@ def log(tape: Tape | None, x: Tensor) -> Tensor:
     if tape is not None:
         xd = x.data
         tape.record("log", (x,), out, lambda g: (g / xd,))
+    return out
+
+
+def mask_fill(tape: Tape | None, x: Tensor, keep: np.ndarray, fill: float) -> Tensor:
+    """Replace entries where ``keep`` is False by ``fill``; gradient passes on kept entries."""
+    if keep.shape != x.shape:
+        raise ShapeError(f"mask_fill: mask shape {keep.shape} does not match {x.shape}")
+    out = Tensor(np.where(keep, x.data, fill))
+    if tape is not None:
+        tape.record("mask_fill", (x,), out, lambda g: (g * keep,))
     return out
 
 
@@ -409,6 +421,14 @@ def op_fd_cases(rng):
 
     add_case("relu", ad.relu, _away_from(rng, (B, F), 0.0))
     add_case("glu", ad.glu, rng.normal(size=(B, 2 * F)), out_shape=(B, F))
+    xglu = ad.Parameter(rng.normal(size=(B, 2 * F)))
+    res = ad.Parameter(rng.normal(size=(B, F)))
+    wglu = ad.Tensor(rng.normal(size=(B, F)))
+
+    def glu_residual_loss(tape):
+        return reduce_sum(tape, ad.mul(tape, ad.glu(tape, xglu, residual=res), wglu))
+
+    cases.append(("glu_residual", glu_residual_loss, [xglu, res]))
     add_case("sparsemax", ad.sparsemax, _sparsemax_safe(rng, (B, F)))
     add_case("softmax_logprob", ad.softmax_logprob, rng.normal(size=(B, F)))
 
@@ -423,7 +443,7 @@ def op_fd_cases(rng):
 
     add_case("scale", lambda t, x: ad.scale(t, x, -1.7), rng.normal(size=(B, F)))
     keep = rng.random((B, F)) > 0.4
-    add_case("mask_fill", lambda t, x: ad.mask_fill(t, x, keep, -3.0), rng.normal(size=(B, F)))
+    add_case("mask_fill", lambda t, x: mask_fill(t, x, keep, -3.0), rng.normal(size=(B, F)))
 
     # two tables of different widths around a continuous column; each table
     # reads one of its rows twice, so the scatter-add must accumulate
@@ -466,6 +486,26 @@ def op_fd_cases(rng):
 
         cases.append((name, prior_loss, [mask] if given is None else [prior, mask]))
 
+    # a prior in (0, 1], and one with exact zeros in every row; as in the
+    # mean_entropy cases below, the zeros come from a mask_fill, so no
+    # central difference crosses the exclusion, and the excluded scores
+    # (at EXCLUDED_SCORE) weigh nothing, so they do not swamp the loss
+    scores = ad.Parameter(rng.normal(size=(B, F)))
+    relaxed = ad.Parameter(rng.uniform(0.05, 1.0, size=(B, F)))
+    exhausted = ad.Parameter(rng.uniform(0.05, 1.0, size=(B, F)))
+    unspent = rng.random((B, F)) > 0.3
+    unspent[:, 0] = False
+    for name, prior, wscores in (
+        ("apply_prior_relaxed", relaxed, rng.normal(size=(B, F))),
+        ("apply_prior_exhausted", exhausted, rng.normal(size=(B, F)) * unspent),
+    ):
+        def apply_prior_loss(tape, prior=prior, wscores=ad.Tensor(wscores)):
+            if prior is exhausted:
+                prior = mask_fill(tape, prior, unspent, 0.0)
+            return reduce_sum(tape, ad.mul(tape, ad.apply_prior(tape, prior, scores), wscores))
+
+        cases.append((name, apply_prior_loss, [prior, scores]))
+
     # masks with exact zeros in every row, over one step and three; the
     # zeros come from a mask_fill, which passes no gradient there, so no
     # central difference steps below zero (sparsemax would hide a gradient
@@ -477,7 +517,7 @@ def op_fd_cases(rng):
             k[:, 0], k[:, 1] = False, True
 
         def entropy_loss(tape, entries=entries, kept=kept):
-            masks = [ad.mask_fill(tape, p, k, 0.0) for p, k in zip(entries, kept)]
+            masks = [mask_fill(tape, p, k, 0.0) for p, k in zip(entries, kept)]
             return ad.mean_entropy(tape, masks, 1e-10)
 
         cases.append((f"mean_entropy_{n_steps}_steps", entropy_loss, entries))
@@ -491,8 +531,9 @@ def op_fd_cases(rng):
 # mode shared one step loop, kept as the equivalence oracle: one embedding
 # record per categorical column joined by a concat_cols, the all-ones prior
 # before the first step, the prior update as a scale, an add_const and a
-# mul, the attentive transformer applying the prior, and each step's mask
-# entropy as an add_const, log, mul and reduce_sum. Train mode runs
+# mul, each residual as an add and a scale after the GLU, the attentive
+# transformer applying the prior as a mul and a mask_fill, and each step's
+# mask entropy as an add_const, log, mul and reduce_sum. Train mode runs
 # the layers' train batch norm on the given tape and must match the model bit
 # for bit. Eval mode writes out the old `BatchNorm` eval formula, so the
 # oracle shares no arithmetic with the folded `_EvalPlan`.
@@ -511,8 +552,8 @@ def reference_glu_block(block, x, tape=None, training=False):
 
 
 def reference_feature_transformer(ft, x, tape=None, training=False):
-    h = reference_glu_block(ft.blocks[0], x, tape, training)
-    for block in ft.blocks[1:]:
+    h = reference_glu_block(ft[0], x, tape, training)
+    for block in ft[1:]:
         h = scale(tape, add(tape, reference_glu_block(block, h, tape, training), h), SQRT_HALF)
     return h
 

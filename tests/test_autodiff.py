@@ -1,6 +1,10 @@
 """Tape mechanics, per-op forward values and gradients, batch norm, Adam."""
 
+import ast
+import inspect
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attentab import autodiff as ad
+from attentab import losses
 from attentab.errors import BatchTooSmallError, ConfigError, GraphError, ShapeError
 
 from attentab.data import RawTable, encode, fit_schema, stratified_split
@@ -25,6 +30,7 @@ from helpers import (
     glu_reciprocal,
     grad_check,
     log,
+    mask_fill,
     op_fd_cases,
     reduce_sum,
     weighted_sum_loss,
@@ -153,6 +159,39 @@ class TestForwardValues:
         (gx,) = tape._records[-1].backward(g)
         assert np.array_equal(gx, glu_backward_reference(x, g))
 
+    def test_glu_residual_bit_identical_to_add_then_scale(self, rng):
+        # the residual block as the add and scale records it replaced
+        x, r, g = rng.normal(size=(64, 10)), rng.normal(size=(64, 5)), rng.normal(size=(64, 5))
+        tape = ad.Tape()
+        got = ad.glu(tape, ad.Tensor(x), residual=ad.Tensor(r))
+        gx, gr = tape._records[-1].backward(g)
+        assert len(tape) == 1
+        plain = ad.glu(None, ad.Tensor(x)).data
+        assert np.array_equal(got.data, (plain + r) * ad.SQRT_HALF)
+        assert np.array_equal(gr, g * ad.SQRT_HALF)
+        assert np.array_equal(gx, glu_backward_reference(x, g * ad.SQRT_HALF))
+
+    def test_apply_prior_bit_identical_to_mul_then_mask_fill(self, rng):
+        prior, scores = rng.random((6, 5)), rng.normal(size=(6, 5))
+        prior[prior < 0.3] = 0.0
+        prior[:, 0] = 0.0
+        g = rng.normal(size=(6, 5))
+        tape = ad.Tape()
+        got = ad.apply_prior(tape, ad.Tensor(prior), ad.Tensor(scores))
+        gp, gs = tape._records[-1].backward(g)
+        keep = prior > 0.0
+        assert np.array_equal(got.data, np.where(keep, prior * scores, ad.EXCLUDED_SCORE))
+        # spent features pass no gradient, not even to their prior
+        assert np.array_equal(gp, (g * keep) * scores)
+        assert np.array_equal(gs, (g * keep) * prior)
+        assert not gp[:, 0].any()
+
+    def test_apply_prior_without_a_prior_passes_scores_through(self):
+        scores = ad.Tensor(np.array([[1.0, -2.0]]))
+        tape = ad.Tape()
+        assert ad.apply_prior(tape, None, scores) is scores
+        assert len(tape) == 0
+
     def test_linear_bit_identical_to_matmul_plus_bias(self, rng):
         x, w, b = rng.normal(size=(300, 17)), rng.normal(size=(17, 9)), rng.normal(size=9)
         out = ad.linear(None, ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
@@ -181,7 +220,7 @@ class TestForwardValues:
         keep = np.array([[True, False, True]])
         x = ad.Parameter(np.array([[1.0, 2.0, 3.0]]))
         tape = ad.Tape()
-        out = ad.mask_fill(tape, x, keep, -9.0)
+        out = mask_fill(tape, x, keep, -9.0)
         np.testing.assert_array_equal(out.data, [[1.0, -9.0, 3.0]])
         tape.backward(reduce_sum(tape, out))
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 1.0]])
@@ -304,7 +343,7 @@ class TestGradients:
         fit(model, ds, stratified_split(ds, 0.25, 0), TrainConfig(
             max_epochs=1, batch_size=24, patience=1, lr_patience=1, loss_kind="focal"
         ))
-        assert {"embed_columns", "mean_entropy", "relax_prior", "focal_nll"} <= set(ops)
+        assert {"embed_columns", "mean_entropy", "relax_prior", "apply_prior", "focal_nll"} <= set(ops)
         names = [name for name, _, _ in op_fd_cases(np.random.default_rng(0))] + ["focal_nll"]
         missing = {op for op in ops if not any(n == op or n.startswith(op + "_") for n in names)}
         assert not missing
@@ -523,7 +562,7 @@ class TestAdam:
         schema = continuous_schema(6, ["a", "b", "c"])
         cfg = TabNetConfig(n_d=4, n_a=4, n_steps=2, virtual_batch=16, seed=3)
         flat_model, ref_model = TabNetClassifier(cfg, schema), TabNetClassifier(cfg, schema)
-        assert flat_model.transformers[1].blocks[0].fc is flat_model.shared_fcs[0]
+        assert flat_model.transformers[1][0].fc is flat_model.shared_fcs[0]
         flat = ad.Adam(flat_model.parameters(), lr=0.05)
         ref = AdamReference(ref_model.parameters(), lr=0.05)
         X, y = rng.normal(size=(40, 6)), rng.integers(0, 3, size=40)
@@ -577,3 +616,44 @@ class TestAdam:
             return p.data.copy()
 
         assert run().tobytes() == run().tobytes()
+
+
+# ----------------------------------------------------------------- structure
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def names_read_in(*dirs):
+    """Every name and attribute read in the Python files under ``dirs``;
+    a def's own name and an import are not reads."""
+    names = set()
+    for d in dirs:
+        for path in sorted((REPO / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+class TestStructure:
+    @pytest.mark.parametrize("module", [ad, losses], ids=["autodiff", "losses"])
+    def test_every_public_function_is_used_outside_the_tests(self, module):
+        public = [
+            name for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+            and not name.startswith("_")
+        ]
+        assert public
+        assert not set(public) - names_read_in("src", "perfbench")
+
+    def test_every_recorded_op_has_a_finite_difference_case(self):
+        # a case named after the op, or after it plus a suffix, checks it;
+        # focal_nll's cases live in test_losses
+        ops = set()
+        for module in (ad, losses):
+            ops |= set(re.findall(r'\.record\(\s*"(\w+)"', inspect.getsource(module)))
+        assert {"linear", "glu", "apply_prior", "batch_norm_train", "focal_nll"} <= ops
+        names = [name for name, _, _ in op_fd_cases(np.random.default_rng(0))] + ["focal_nll"]
+        assert not {op for op in ops if not any(n == op or n.startswith(op + "_") for n in names)}

@@ -222,6 +222,26 @@ class TestEvaluate:
         )
         assert code == 2 and f"error: {bad}: " in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("val_fraction", "0.2"), ("val_fraction", 1.5), ("seed", -1), ("seed", "x"),
+            ("seed", 1.5), ("f1_average", "micro"),
+        ],
+    )
+    def test_bad_stored_split_or_average_exits_two_naming_the_file(
+        self, workspace, tmp_path, capsys, field, value
+    ):
+        header, arrays = read_container(str(workspace / "model.attb"), MODEL_MAGIC)
+        header["train_info"]["train_config"][field] = value
+        bad = tmp_path / "model.attb"
+        write_container(str(bad), MODEL_MAGIC, header, list(arrays.items()))
+        code, _, err = run(
+            ["evaluate", "--model", str(bad), "--dataset", str(workspace / "dataset.attd")],
+            capsys,
+        )
+        assert code == 2 and f"error: {bad}: " in err and field in err
+
     def test_schema_mismatch_exits_two(self, workspace, tmp_path, monkeypatch, capsys):
         in_dir(monkeypatch, tmp_path)
         run(

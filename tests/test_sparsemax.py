@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from attentab import autodiff as ad
 from attentab import tabnet
 from attentab import train as tr
+from attentab.autodiff import EXCLUDED_SCORE
 from attentab.autodiff import SPARSEMAX_LEAD as LEAD
 from attentab.data import stratified_split
 from attentab.errors import NumericsError
 from attentab.synthetic import dataset_from_arrays, make_classification
-from attentab.tabnet import EXCLUDED_SCORE, TabNetClassifier, TabNetConfig
+from attentab.tabnet import TabNetClassifier, TabNetConfig
 
 from helpers import (
     grad_check,

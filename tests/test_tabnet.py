@@ -25,8 +25,7 @@ from attentab.errors import (
 )
 from attentab.tabnet import (
     EVAL_BATCH,
-    FeatureTransformer,
-    GLUBlock,
+    FcBn,
     MaskReport,
     TabNetClassifier,
     TabNetConfig,
@@ -217,11 +216,11 @@ class TestMasksAndPrior:
         step_scores = [np.zeros((5, 4)), np.full((5, 4), -1.0)]
         for scores in step_scores:
             scores[:, 2] = 100.0
+        # each transformer is one GLU layer whose map is all ones
+        transformers = [[lambda tape, x: ad.Tensor(np.ones((5, 8)))] for _ in range(3)]
+        attentives = [lambda tape, a_prev, s=s: ad.Tensor(s) for s in step_scores]
         for tape in (None, ad.Tape()):
-            out = tabnet._decision_steps(
-                tape, model, feats, lambda t, x: ad.Tensor(np.ones((5, 4))),
-                lambda i, a_prev: ad.Tensor(step_scores[i]),
-            )
+            out = tabnet._decision_steps(tape, model, feats, transformers, attentives)
             assert (out.masks[0].data[:, 2] == 1.0).all()
             assert (out.masks[1].data[:, 2] == 0.0).all()
             np.testing.assert_allclose(out.masks[1].data.sum(axis=1), 1.0, atol=1e-9)
@@ -277,16 +276,16 @@ class TestSharing:
     def test_shared_blocks_reuse_parameter_objects(self):
         model, _ = small_model()
         t0, t1 = model.transformers[0], model.transformers[1]
-        assert t0.blocks[0].fc is t1.blocks[0].fc is model.shared_fcs[0]
-        assert t0.blocks[0].bn.gamma is t1.blocks[0].bn.gamma
-        assert t0.blocks[0].bn is not t1.blocks[0].bn  # buffers stay per call site
-        assert t0.blocks[2].fc is not t1.blocks[2].fc
+        assert t0[0].fc is t1[0].fc is model.shared_fcs[0]
+        assert t0[0].bn.gamma is t1[0].bn.gamma
+        assert t0[0].bn is not t1[0].bn  # buffers stay per call site
+        assert t0[2].fc is not t1[2].fc
 
     def test_shared_stack_is_one_function_in_train_mode(self):
         model, ds = small_model()
         x = model.input_bn(None, model.embed(None, ds.features))
-        b0 = model.transformers[0].blocks[0]
-        b1 = model.transformers[1].blocks[0]
+        b0 = model.transformers[0][0]
+        b1 = model.transformers[1][0]
         out0 = b0(None, x).data
         out1 = b1(None, x).data
         np.testing.assert_array_equal(out0, out1)
@@ -302,18 +301,21 @@ class TestSharing:
         assert len(ids) == len(set(ids))
 
     def test_residual_scales_by_sqrt_half(self, rng):
-        # a zero second block adds nothing, in the layers (train mode, where
-        # batch norm maps its constant input to beta = 0) and in the layered
-        # eval reference alike
-        first = GLUBlock(rng, 4, 3, None, "a")
-        second = GLUBlock(rng, 3, 3, None, "b")
+        # a zero second layer adds nothing, in train mode (where batch norm
+        # maps its constant input to beta = 0) and over the folded eval
+        # maps alike, whose first GLU is held to the layered reference
+        first = FcBn(rng, 4, 6, None, "a")
+        second = FcBn(rng, 3, 6, None, "b")
         second.fc.w.data[...] = 0.0
         second.fc.b.data[...] = 0.0
-        ft = FeatureTransformer([first, second])
         x = ad.Tensor(rng.normal(size=(5, 4)))
-        for training in (True, False):
-            h1 = first(None, x).data if training else reference_glu_block(first, x).data
-            got = ft(None, x) if training else reference_feature_transformer(ft, x)
+        # eval first: a train-mode call moves the running statistics
+        folded = [tabnet._fold(first), tabnet._fold(second)]
+        for layers, h1 in (
+            (folded, reference_glu_block(first, x).data),
+            ([first, second], ad.glu(None, first(None, x)).data),
+        ):
+            got = tabnet._glu_stack(None, layers, x)
             np.testing.assert_allclose(got.data, math.sqrt(0.5) * h1, atol=1e-12)
 
 
@@ -517,6 +519,18 @@ class TestTapeRecords:
             assert ops.count("mean_entropy") == 1
             counts.append(len(ops))
         assert counts[0] == counts[1]  # no record per categorical column
+
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    def test_one_record_per_glu_layer_and_prior_update(self, n_steps):
+        # a residual is part of its GLU's record, and steps after the first
+        # apply the prior in one record; the only add records join the
+        # decisions and the loss to its penalty, whose weight is the only scale
+        ops = one_train_step_ops(1, n_steps)
+        assert ops.count("glu") == 4 * (n_steps + 1)
+        assert ops.count("apply_prior") == n_steps - 1
+        assert ops.count("add") == n_steps
+        assert ops.count("scale") == 1
+        assert ops.count("mul") == n_steps  # each mask times the features
 
 
 class TestEvalPlan:
@@ -806,6 +820,17 @@ class TestPersistence:
         del header["arrays"]
         write_container(path, MODEL_MAGIC, header, list(arrays.items()))
         with pytest.raises(PersistenceError, match="m.attb.*n_dd"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dims", [[1.5], [True], [1.0]], ids=["fraction", "bool", "float"])
+    def test_non_integer_embed_dims_name_the_file(self, tmp_path, dims):
+        # the committed model has one categorical column of width 1
+        header, arrays = read_container(str(FIXTURES / "mini_model.attb"), MODEL_MAGIC)
+        header["config"]["embed_dims"] = dims
+        del header["arrays"]
+        path = str(tmp_path / "m.attb")
+        write_container(path, MODEL_MAGIC, header, list(arrays.items()))
+        with pytest.raises(PersistenceError, match="m.attb.*embed_dims"):
             load_model(path)
 
     def test_load_state_names_missing_arrays(self):
