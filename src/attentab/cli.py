@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import AttentabError, ConfigError, NumericsError
+from .errors import AttentabError, ConfigError, NumericsError, check_int
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -261,6 +261,8 @@ def cmd_evaluate(args, cfg: dict) -> int:
 
 
 def cmd_explain(args, cfg: dict) -> int:
+    check_int("--top-k", args.top_k, 1)
+    check_int("--instances", args.instances, 0)
     model, dataset = _load_pair(args, cfg)
     report = model.explain(dataset.features)
     top = report.top(args.top_k)

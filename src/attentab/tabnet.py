@@ -185,7 +185,6 @@ class ForwardOutput:
 class MaskReport:
     """Interpretability artifacts in raw-column space."""
 
-    per_step_masks: list[np.ndarray]  # embedded space, [B, D] each
     step_weights: np.ndarray  # [B, n_steps]
     instance_importance: np.ndarray  # [B, n_raw], rows sum to 1
     global_importance: np.ndarray  # [n_raw], sums to 1
@@ -416,23 +415,21 @@ class TabNetClassifier:
     def explain(self, X: np.ndarray) -> MaskReport:
         """Aggregate step masks into instance/global feature importances,
         attributed back to raw columns. Runs in the same row chunks as
-        ``predict_logits``; every quantity but the global mean is per row."""
+        ``predict_logits``, and each chunk's masks die with the chunk, so
+        memory beyond the per-row outputs is one chunk's working set. The
+        per-step masks themselves come from ``forward(None, X, training=False)``."""
         if not self.fitted:
             raise ModelStateError("explain requires a fitted model")
         n_rows, n_steps = _row_count(X), self.config.n_steps
         attribution = self.attribution_map()
-        masks = [np.empty((n_rows, self.d_model)) for _ in range(n_steps)]
         step_weights = np.empty((n_rows, n_steps))
         instance = np.empty((n_rows, len(attribution)))
         for rows, out in self._eval_chunks(X):
-            for i in range(n_steps):
-                masks[i][rows] = out.masks[i].data
             # _attribute's working arrays die when it returns; dropping the
             # output too leaves nothing of this chunk alive for the next
             step_weights[rows] = _attribute(out, attribution, instance[rows])
             del out
         return MaskReport(
-            per_step_masks=masks,
             step_weights=step_weights,
             instance_importance=instance,
             global_importance=instance.mean(axis=0),

@@ -282,6 +282,22 @@ class TestExplain:
         # 4 active features: id and ghost are dropped
         assert len(out.strip().split("\n")) == 1 + 4
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--top-k", "0"], "--top-k"),
+            (["--top-k", "-3"], "--top-k"),
+            (["--instances", "-2"], "--instances"),
+        ],
+    )
+    def test_bad_counts_rejected(self, workspace, monkeypatch, capsys, argv, flag):
+        # a count that could only print an empty table or no rows is an error
+        in_dir(monkeypatch, workspace)
+        code, out, err = run(["explain"] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+
 
 class TestInspect:
     def test_prints_summary(self, workspace, monkeypatch, capsys):
