@@ -45,31 +45,27 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RawTable:
-    """Header plus string rows; missing cells are ``None``."""
+    """Header plus one tuple of cells per column; missing cells are ``None``."""
 
     columns: list[str]
-    rows: list[list[str | None]]
+    cells: list[tuple[str | None, ...]]
+    n_rows: int
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def column(self, name: str) -> list[str | None]:
+    def column(self, name: str) -> tuple[str | None, ...]:
         try:
-            j = self.columns.index(name)
+            return self.cells[self.columns.index(name)]
         except ValueError:
             raise SchemaError(f"column {name!r} not present in table") from None
-        return [row[j] for row in self.rows]
 
 
 def load_csv(path: str) -> RawTable:
-    """Read an RFC 4180 CSV with a header row into a RawTable.
+    """Read an RFC 4180 CSV with a header row into a column-major RawTable.
 
     Empty cells and the literals "NaN"/"nan" become missing. Ragged rows
     and repeated header names raise an ingestion error naming the offending
     line or name. A leading UTF-8 byte-order mark (as spreadsheet exports
     write) is not part of the first header name. Equal cell texts share one
-    ``str`` object.
+    ``str`` object. The rows are transposed once into one tuple per column.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
@@ -85,22 +81,25 @@ def load_csv(path: str) -> RawTable:
         if repeated:
             raise IngestionError(f"{path}: header repeats column name(s) {repeated}")
         canonical = dict.fromkeys(MISSING_TOKENS).setdefault
-        rows: list[list[str | None]] = []
+        rows: list[tuple[str | None, ...]] = []
         for row in reader:
             if len(row) != len(header):
                 raise IngestionError(
                     f"{path}: line {reader.line_num} has {len(row)} fields, "
                     f"expected {len(header)}"
                 )
-            rows.append(list(map(canonical, row, row)))
-    return RawTable(columns=header, rows=rows)
+            rows.append(tuple(map(canonical, row, row)))
+    del canonical  # frees the index of distinct texts before the transpose
+    cells = list(zip(*rows)) if rows else [()] * len(header)
+    return RawTable(columns=header, cells=cells, n_rows=len(rows))
 
 
 def join_on_id(values: RawTable, labels: RawTable, key: str = "id") -> RawTable:
     """Inner-join a labels table onto a values table by a shared key column.
 
     Row order follows the values table; every value row must have exactly one
-    matching label row, and no other column may appear in both tables.
+    matching label row, and no other column may appear in both tables. The
+    values columns are reused as they are; the label columns are reordered.
     """
     if key not in values.columns or key not in labels.columns:
         raise IngestionError(f"join key {key!r} must appear in both tables")
@@ -109,23 +108,23 @@ def join_on_id(values: RawTable, labels: RawTable, key: str = "id") -> RawTable:
     shared = [c for c in label_cols if c in values.columns]
     if shared:
         raise IngestionError(f"column(s) {shared} appear in both tables")
-    by_key: dict[str, list[str | None]] = {}
-    for i, row in enumerate(labels.rows):
-        k = row[key_j]
+    row_of: dict[str, int] = {}
+    for i, k in enumerate(labels.cells[key_j]):
         if k is None:
             raise IngestionError(f"labels table: data row {i + 1} has no {key!r} value")
-        if k in by_key:
+        if k in row_of:
             raise IngestionError(f"duplicate {key}={k!r} in labels table")
-        by_key[k] = row[:key_j] + row[key_j + 1 :]
-    vkey_j = values.columns.index(key)
+        row_of[k] = i
+    keys = values.column(key)
     try:
-        joined_rows = [row + by_key[row[vkey_j]] for row in values.rows]
+        order = list(map(row_of.__getitem__, keys))
     except KeyError as exc:
         if exc.args[0] is None:
-            i = [row[vkey_j] for row in values.rows].index(None)
+            i = keys.index(None)
             raise IngestionError(f"values table: data row {i + 1} has no {key!r} value") from None
         raise IngestionError(f"{key}={exc.args[0]!r} has no matching label row") from None
-    return RawTable(columns=values.columns + label_cols, rows=joined_rows)
+    label_cells = [tuple(map(labels.column(c).__getitem__, order)) for c in label_cols]
+    return RawTable(values.columns + label_cols, values.cells + label_cells, values.n_rows)
 
 
 @dataclass
@@ -266,7 +265,7 @@ def fit_schema(
         raise SchemaError("cannot fit a schema on an empty table")
 
     columns: list[ColumnSchema] = []
-    for name, values in zip(table.columns, zip(*table.rows), strict=True):
+    for name, values in zip(table.columns, table.cells, strict=True):
         counts = Counter(values)  # keys in order of first appearance
         n_missing = counts.pop(None, 0)
         missing_fraction = n_missing / len(values)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 from typing import Sequence
 
@@ -609,6 +610,48 @@ def reference_forward(model, X: np.ndarray, tape=None, training=False) -> Forwar
     logits = model.final(tape, agg)
     sparsity = scale(tape, entropy_sum, -1.0 / (cfg.n_steps * B))
     return ForwardOutput(logits=logits, masks=masks, decisions=decisions, sparsity=sparsity)
+
+
+def table_from_rows(columns: Sequence[str], rows: Sequence[Sequence[str | None]]) -> RawTable:
+    """A column-major RawTable from row literals, transposed the way
+    `load_csv` transposes a file's rows; no rows give one empty column per
+    name, as a header-only file does."""
+    cells = list(zip(*rows, strict=True)) if rows else [()] * len(columns)
+    return RawTable(columns=list(columns), cells=cells, n_rows=len(rows))
+
+
+# Cardinalities of the pump table's categorical columns (funder, installer,
+# ward, lga, region, basin, ...), Zipf-skewed like them.
+PUMP_CARDINALITIES = (
+    2000, 1800, 1500, 1200, 900, 600, 400, 250, 125, 65, 37, 21, 20,
+    18, 14, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 3,
+)
+
+
+def write_pump_shaped_csvs(values_path, labels_path, n_rows: int, seed: int = 0) -> None:
+    """A values/labels CSV pair shaped like the pump table: an ``id``, 10
+    continuous and 26 Zipf-skewed categorical columns with 3% of feature
+    cells missing, and a ``status_group`` label file in its own row order."""
+    rng = np.random.default_rng(seed)
+    columns = [np.char.mod("%.4f", rng.normal(0.0, 10.0 ** (j % 4), n_rows)) for j in range(10)]
+    for j, k in enumerate(PUMP_CARDINALITIES):
+        p = 1.0 / np.arange(1, k + 1) ** 1.1
+        columns.append(np.char.add(f"cat_{j}_v", rng.choice(k, n_rows, p=p / p.sum()).astype(str)))
+    cells = np.stack(columns, axis=1).astype(object)
+    cells[rng.random(cells.shape) < 0.03] = ""
+    ids = rng.permutation(10 * n_rows)[:n_rows].astype(str)
+    header = ["id"] + [f"num_{j}" for j in range(10)] + [f"cat_{j}" for j in range(26)]
+    classes = ["functional", "non functional", "functional needs repair"]
+    labels = rng.choice(classes, n_rows, p=[0.543, 0.384, 0.073])
+    order = rng.permutation(n_rows)
+    for path, head, body in (
+        (values_path, header, np.column_stack([ids, cells])),
+        (labels_path, ["id", "status_group"], np.column_stack([ids[order], labels[order]])),
+    ):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(head)
+            out.writerows(body.tolist())
 
 
 # ------------------------------------------- per-cell preprocessing reference

@@ -15,7 +15,7 @@ from attentab import autodiff as ad
 from attentab import losses
 from attentab.errors import BatchTooSmallError, ConfigError, GraphError, ShapeError
 
-from attentab.data import RawTable, encode, fit_schema, stratified_split
+from attentab.data import encode, fit_schema, stratified_split
 from attentab.tabnet import TabNetClassifier, TabNetConfig
 from attentab.train import TrainConfig, batch_loss, fit
 
@@ -33,6 +33,7 @@ from helpers import (
     mask_fill,
     op_fd_cases,
     reduce_sum,
+    table_from_rows,
     weighted_sum_loss,
 )
 
@@ -336,7 +337,7 @@ class TestGradients:
 
         rows = [[str(i), "abc"[i % 3], "uv"[i % 2], repr(i / 7.0), "xy"[i * 7 % 3 % 2]]
                 for i in range(24)]
-        table = RawTable(columns=["id", "c0", "c1", "x", "label"], rows=rows)
+        table = table_from_rows(["id", "c0", "c1", "x", "label"], rows)
         ds = encode(table, fit_schema(table, "label"))
         model = TabNetClassifier(TabNetConfig(n_d=2, n_a=2, n_steps=2, virtual_batch=8), ds.schema)
         monkeypatch.setattr(ad.Tape, "record", recording)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from attentab import autodiff as ad
 from attentab import tabnet
 from attentab.container import MODEL_MAGIC, read_container, write_container
-from attentab.data import KIND_CATEGORICAL, RawTable, encode, fit_schema
+from attentab.data import KIND_CATEGORICAL, encode, fit_schema
 from attentab.errors import (
     AttentabError,
     ConfigError,
@@ -42,6 +42,7 @@ from helpers import (
     reference_feature_transformer,
     reference_forward,
     reference_glu_block,
+    table_from_rows,
 )
 from conftest import continuous_schema
 
@@ -63,7 +64,7 @@ def mixed_dataset(n_rows=24, seed=0):
         ]
         for _ in range(n_rows)
     ]
-    t = RawTable(columns=["id", "cat", "x0", "x1", "label"], rows=rows)
+    t = table_from_rows(["id", "cat", "x0", "x1", "label"], rows)
     return encode(t, fit_schema(t, "label"))
 
 
@@ -427,7 +428,7 @@ def two_categorical_dataset(n_rows=40, seed=0):
         ]
         for i in range(n_rows)
     ]
-    t = RawTable(columns=["id", "cat", "kind", "x0", "x1", "label"], rows=rows)
+    t = table_from_rows(["id", "cat", "kind", "x0", "x1", "label"], rows)
     return encode(t, fit_schema(t, "label"))
 
 
@@ -498,7 +499,7 @@ def one_train_step_ops(n_categorical, n_steps):
         for i in range(16)
     ]
     columns = ["id"] + [f"c{k}" for k in range(n_categorical)] + ["x", "label"]
-    table = RawTable(columns=columns, rows=rows)
+    table = table_from_rows(columns, rows)
     ds = encode(table, fit_schema(table, "label"))
     assert sum(c.kind == KIND_CATEGORICAL for c in ds.schema.columns) == n_categorical
     model = TabNetClassifier(TabNetConfig(n_d=2, n_a=2, n_steps=n_steps, embed_dims=2), ds.schema)
