@@ -11,8 +11,10 @@ Layout (all integers little-endian):
     blobs         one little-endian float64 buffer per manifest entry,
                   row-major, concatenated in manifest order
 
-Writes are atomic (temp file in the target directory, then rename), so a
-crashed run never leaves a parseable but truncated file behind.
+Every file goes through one atomic writer (temp file in the target
+directory, then rename), so a crashed run never leaves a parseable but
+truncated file behind. Writes stream the arrays one by one; reads check each
+size against the file's before allocating, so one copy is ever in memory.
 """
 
 from __future__ import annotations
@@ -41,17 +43,20 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write bytes to ``path`` via a temp file + rename in the same directory.
+@contextmanager
+def atomic_open(path: str):
+    """Yield a binary handle on a temp file in ``path``'s directory.
 
-    The file gets the mode a plain ``open`` would give it (0666 less the
-    umask), not the owner-only mode of the temp file.
+    On success the file gets the mode a plain ``open`` would give it (0666
+    less the umask), not the owner-only mode of the temp file, and is
+    renamed over ``path``. On any exception the temp file is deleted and
+    ``path`` is left as it was.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
@@ -61,11 +66,12 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
-def encode_container(magic: bytes, header: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
-    """Serialize header + named arrays into container bytes.
+def write_container(path: str, magic: bytes, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
+    """Write header + named arrays as a container, one array at a time.
 
     The manifest is derived from ``arrays`` and stored under the header key
     ``arrays``; blob order follows the list order exactly.
@@ -73,17 +79,11 @@ def encode_container(magic: bytes, header: dict, arrays: list[tuple[str, np.ndar
     if len(magic) != 5:
         raise PersistenceError(f"magic must be 5 bytes, got {magic!r}")
     manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays]
-    full_header = dict(header)
-    full_header["arrays"] = manifest
-    header_bytes = json.dumps(full_header, sort_keys=True).encode("utf-8")
-    parts = [magic, struct.pack(_LEN_FMT, len(header_bytes)), header_bytes]
-    for _, arr in arrays:
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def write_container(path: str, magic: bytes, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
-    atomic_write_bytes(path, encode_container(magic, header, arrays))
+    header_bytes = json.dumps({**header, "arrays": manifest}, sort_keys=True).encode("utf-8")
+    with atomic_open(path) as fh:
+        fh.write(magic + struct.pack(_LEN_FMT, len(header_bytes)) + header_bytes)
+        for _, arr in arrays:
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
 
 
 def _manifest_entry(path: str, entry) -> tuple[str, tuple[int, ...]]:
@@ -117,22 +117,29 @@ def read_container(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_container(path, fh, magic)
     except OSError as exc:
         raise PersistenceError(f"cannot read container {path}: {exc}") from exc
 
-    if len(blob) < 13:
-        raise PersistenceError(f"{path}: truncated container (only {len(blob)} bytes)")
-    if blob[:5] != magic:
+
+def _read_container(path: str, fh, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(13)
+    if len(prefix) < 13:
+        raise PersistenceError(f"{path}: truncated container (only {len(prefix)} bytes)")
+    if prefix[:5] != magic:
         raise PersistenceError(
-            f"{path}: bad magic {blob[:5]!r}, expected {magic.decode('ascii')!r}"
+            f"{path}: bad magic {prefix[:5]!r}, expected {magic.decode('ascii')!r}"
         )
-    (header_len,) = struct.unpack(_LEN_FMT, blob[5:13])
+    (header_len,) = struct.unpack(_LEN_FMT, prefix[5:])
     header_end = 13 + header_len
-    if len(blob) < header_end:
+    if size < header_end:
+        raise PersistenceError(f"{path}: truncated header")
+    header_bytes = fh.read(header_len)
+    if len(header_bytes) < header_len:
         raise PersistenceError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[13:header_end].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PersistenceError(f"{path}: corrupt header: {exc}") from exc
 
@@ -146,13 +153,14 @@ def read_container(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]
         name, shape = _manifest_entry(path, entry)
         if name in arrays:
             raise PersistenceError(f"{path}: array {name!r} listed twice")
-        count = math.prod(shape)
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
+        nbytes = math.prod(shape) * 8
+        if offset + nbytes > size:
             raise PersistenceError(f"{path}: truncated blob for array {name!r}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays[name] = arr.astype(np.float64)
+        arr = np.empty(shape, dtype="<f8")
+        if fh.readinto(arr) != nbytes:
+            raise PersistenceError(f"{path}: truncated blob for array {name!r}")
+        arrays[name] = arr
         offset += nbytes
-    if offset != len(blob):
-        raise PersistenceError(f"{path}: {len(blob) - offset} trailing bytes after blobs")
+    if offset != size:
+        raise PersistenceError(f"{path}: {size - offset} trailing bytes after blobs")
     return header, arrays

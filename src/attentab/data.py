@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -139,6 +139,10 @@ class ColumnSchema:
     inferred_kind: str | None = None
 
 
+def _field_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 @dataclass
 class FeatureSchema:
     """Per-column metadata fitted from a training table."""
@@ -157,41 +161,18 @@ class FeatureSchema:
         return [c for c in self.columns if c.kind in (KIND_CATEGORICAL, KIND_CONTINUOUS)]
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "labels": self.labels,
-            "drop_threshold": self.drop_threshold,
-            "encode_order": self.encode_order,
-            "impute_strategy": self.impute_strategy,
-            "id_columns": self.id_columns,
-            "continuous_distinct_threshold": self.continuous_distinct_threshold,
-            "columns": [
-                {
-                    "name": c.name,
-                    "kind": c.kind,
-                    "cardinality": c.cardinality,
-                    "encoding": c.encoding,
-                    "imputation": c.imputation,
-                    "missing_fraction": c.missing_fraction,
-                    "drop_reason": c.drop_reason,
-                    "inferred_kind": c.inferred_kind,
-                }
-                for c in self.columns
-            ],
-        }
+        """The fields as a JSON-ready dict. Shallow: lists and encodings are
+        shared with the schema, not copied."""
+        d = _field_values(self)
+        d["columns"] = [_field_values(c) for c in self.columns]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
-        return cls(
-            columns=[ColumnSchema(**c) for c in d["columns"]],
-            target=d["target"],
-            labels=list(d["labels"]),
-            drop_threshold=d["drop_threshold"],
-            encode_order=d["encode_order"],
-            impute_strategy=d["impute_strategy"],
-            id_columns=list(d["id_columns"]),
-            continuous_distinct_threshold=d["continuous_distinct_threshold"],
-        )
+        """Inverse of :meth:`to_dict`; every field must be present."""
+        values = {f.name: d[f.name] for f in fields(cls)}
+        values["columns"] = [ColumnSchema(**c) for c in values["columns"]]
+        return cls(**values)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -201,8 +182,11 @@ class FeatureSchema:
 
     @classmethod
     def load(cls, path: str) -> "FeatureSchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh, decoding(path):
+                return cls.from_dict(json.load(fh))
+        except OSError as exc:
+            raise PersistenceError(f"cannot read schema {path}: {exc}") from exc
 
     def hash(self) -> str:
         """Stable digest used to pair models with the datasets they expect."""
@@ -401,13 +385,13 @@ def encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
     for j, col in enumerate(active):
         values = table.column(col.name)
         if col.kind == KIND_CONTINUOUS:
-            texts = dict(zip(values, values))  # distinct, in first-appearance order
-            if None in texts:
-                texts[None] = col.imputation
+            lookup = dict.fromkeys(values)  # distinct, in first-appearance order
             try:
-                lookup = dict(zip(texts, map(float, texts.values())))
+                for text in lookup:
+                    lookup[text] = float(col.imputation if text is None else text)
             except (TypeError, ValueError):
-                raise _first_unparsable(col.name, texts.values()) from None
+                texts = (col.imputation if t is None else t for t in lookup)
+                raise _first_unparsable(col.name, texts) from None
             mapped = map(lookup.__getitem__, values)
         else:
             lookup = dict(col.encoding or {})
@@ -535,7 +519,7 @@ def load_dataset(path: str) -> EncodedDataset:
         features, labels, counts = arrays["features"], arrays["labels"], arrays["class_counts"]
         schema = FeatureSchema.from_dict(header["schema"])
         shape = (header["n_rows"], header["n_features"])
-    n_active, n_classes = len(schema.feature_columns()), len(schema.labels)
+        n_active, n_classes = len(schema.feature_columns()), len(schema.labels)
     if features.shape != shape or shape[1] != n_active:
         raise PersistenceError(
             f"{path}: features of shape {features.shape}, but the header gives {shape} "

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import reference_encode, reference_fit_schema, write_pump_shaped_csvs
 from helpers import table_from_rows as table
 
+from attentab.cli import main as cli_main
 from attentab.container import DATASET_MAGIC, read_container, write_container
 from attentab.data import (
     KIND_CATEGORICAL,
@@ -40,6 +41,7 @@ from attentab.errors import (
     SchemaError,
     SplitError,
 )
+from attentab.synthetic import dataset_from_arrays
 
 
 # numeric edge texts: whitespace, underscores, non-finite, overflow, signed zero
@@ -494,10 +496,11 @@ class TestPreprocessMemory:
     def test_peak_is_bounded_per_raw_cell(self, tmp_path):
         # load_csv -> join_on_id -> fit_schema -> encode on 5,000 pump-shaped
         # rows, each stage's output kept alive as the CLI keeps it. Measured:
-        # 39.8 bytes per raw cell, set by encode's lookups (load_csv frees
-        # its index of distinct texts before the transpose), against 52.6
-        # with the row-major table, whose value rows and joined rows lived
-        # side by side
+        # 39.9 bytes per raw cell, set while load_csv holds its index of
+        # distinct texts (encode peaks at 37.6 with one lookup dict per
+        # continuous column, 38.5 with two), against 52.6 with the
+        # row-major table, whose value rows and joined rows lived side by
+        # side
         n = 5000
         values, labels = tmp_path / "values.csv", tmp_path / "labels.csv"
         write_pump_shaped_csvs(values, labels, n)
@@ -526,6 +529,22 @@ class TestSchemaPersistence:
         loaded = FeatureSchema.load(str(path))
         assert loaded.to_dict() == schema.to_dict()
         assert loaded.hash() == schema.hash()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (None, r"cannot read schema .*schema\.json"),
+            ("{not json", r"schema\.json: .*JSONDecodeError"),
+            ("{}", r"schema\.json: .*KeyError: 'columns'"),
+        ],
+        ids=["missing_file", "not_json", "no_columns"],
+    )
+    def test_load_errors_name_the_file(self, tmp_path, text, match):
+        path = tmp_path / "schema.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(PersistenceError, match=match):
+            FeatureSchema.load(str(path))
 
     def test_hash_distinguishes_schemas(self):
         t1 = table(["x", "label"], [["a", "y"], ["b", "n"]])
@@ -698,6 +717,65 @@ class TestContainerManifest:
         path.write_bytes(raw_container([1, 2], b""))
         with pytest.raises(PersistenceError, match="manifest"):
             read_container(str(path), DATASET_MAGIC)
+
+    @pytest.mark.parametrize("shape", [[2**40], [2**40, 2**40]])
+    def test_oversized_shape_is_truncation_not_allocation(self, tmp_path, shape):
+        path = tmp_path / "c.attd"
+        path.write_bytes(raw_container({"arrays": [{"name": "a", "shape": shape}]}, b"\0" * 8))
+        with pytest.raises(PersistenceError, match="truncated blob for array 'a'"):
+            read_container(str(path), DATASET_MAGIC)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.arange(12.0).reshape(3, 4).T, np.arange(24.0).reshape(4, 6)[:, ::2], np.arange(6).reshape(2, 3)],
+        ids=["fortran_view", "strided_view", "int64"],
+    )
+    def test_any_layout_writes_the_bytes_of_its_float64_copy(self, tmp_path, arr):
+        got, want = tmp_path / "got.attd", tmp_path / "want.attd"
+        write_container(str(got), DATASET_MAGIC, {}, [("a", arr)])
+        write_container(str(want), DATASET_MAGIC, {}, [("a", np.ascontiguousarray(arr, dtype=np.float64))])
+        assert got.read_bytes() == want.read_bytes()
+        loaded = read_container(str(got), DATASET_MAGIC)[1]["a"]
+        assert loaded.flags.c_contiguous and loaded.flags.writeable and loaded.dtype == np.float64
+        np.testing.assert_array_equal(loaded, arr)
+
+
+class TestPersistenceMemory:
+    """Traced peaks in units of the feature matrix's bytes M, on a dataset
+    of 20,000 x 40 floats (6.1 MiB). Measured: save 2.08 M when the whole
+    file was built as one bytes object, 0.04 M streamed; load 2.05 M when
+    the whole file was read and then each array copied, 1.06 M read in
+    place; inspect 2.13 M and 1.14 M the same way."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        rng = np.random.default_rng(0)
+        ds = dataset_from_arrays(rng.standard_normal((20_000, 40)), rng.integers(0, 3, 20_000))
+        path = str(tmp_path_factory.mktemp("memory") / "d.attd")
+        save_dataset(path, ds)
+        return ds, path
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_holds_no_copy_of_the_matrix(self, saved, tmp_path):
+        ds, _ = saved
+        assert self.traced_peak(save_dataset, str(tmp_path / "d.attd"), ds) < 0.5 * ds.features.nbytes
+
+    def test_load_holds_one_copy_of_the_matrix(self, saved):
+        ds, path = saved
+        assert self.traced_peak(load_dataset, path) < 1.5 * ds.features.nbytes
+
+    def test_inspect_holds_one_copy_of_the_matrix(self, saved, capsys):
+        ds, path = saved
+        assert self.traced_peak(cli_main, ["inspect", "--dataset", path]) < 1.5 * ds.features.nbytes
+        assert "rows: 20000" in capsys.readouterr().out
 
 
 def raw_container(header, blobs: bytes) -> bytes:
