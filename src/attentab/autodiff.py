@@ -614,6 +614,11 @@ class BatchNorm:
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam over a fixed parameter list; deterministic given identical inputs.
 
@@ -625,25 +630,13 @@ class Adam:
     optimizer's vector too.
     """
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 0.02,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[Parameter], lr: float = 0.02):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         # shared layers may surface the same Parameter twice; one slot each
         seen: set[int] = set()
         self.params = [p for p in params if not (id(p) in seen or seen.add(id(p)))]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         size = sum(p.data.size for p in self.params)
         self._data = np.empty(size)
         self._grad = np.empty(size)
@@ -672,15 +665,15 @@ class Adam:
             # would move a vector no parameter reads
             raise GraphError("Adam: parameters were rebound by another optimizer built over them")
         self._t += 1
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
+        bc1 = 1.0 - ADAM_BETA1**self._t
+        bc2 = 1.0 - ADAM_BETA2**self._t
         g, m, v, u, den = self._grad, self._m, self._v, self._update, self._denom
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=u)
-        v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=u)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=u)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=u)
         v += np.multiply(u, g, out=u)
         np.sqrt(np.divide(v, bc2, out=den), out=den)
-        den += self.eps
+        den += ADAM_EPS
         np.multiply(self.lr, np.divide(m, bc1, out=u), out=u)
         self._data -= np.divide(u, den, out=u)

@@ -272,28 +272,21 @@ def fit_schema(
             continue
 
         kind = _infer_kind(counts, continuous_distinct_threshold)
+        drop_reason = None
         if not counts:
             logger.warning("column %r has no observed values; dropping it", name)
-            columns.append(
-                ColumnSchema(
-                    name=name,
-                    kind=KIND_DROP,
-                    missing_fraction=1.0,
-                    drop_reason="all values missing",
-                    inferred_kind=kind,
-                )
+            drop_reason = "all values missing"
+        elif missing_fraction > drop_threshold:
+            drop_reason = (
+                f"missing fraction {missing_fraction:.4f} exceeds threshold {drop_threshold}"
             )
-            continue
-        if missing_fraction > drop_threshold:
+        if drop_reason is not None:
             columns.append(
                 ColumnSchema(
                     name=name,
                     kind=KIND_DROP,
                     missing_fraction=missing_fraction,
-                    drop_reason=(
-                        f"missing fraction {missing_fraction:.4f} exceeds "
-                        f"threshold {drop_threshold}"
-                    ),
+                    drop_reason=drop_reason,
                     inferred_kind=kind,
                 )
             )
@@ -306,29 +299,20 @@ def fit_schema(
                 imputation = repr(med)
             else:
                 imputation = max(counts, key=counts.__getitem__)  # ties: first appearance
-
-        if kind == KIND_CONTINUOUS:
-            columns.append(
-                ColumnSchema(
-                    name=name,
-                    kind=kind,
-                    imputation=imputation,
-                    missing_fraction=missing_fraction,
-                )
-            )
-        else:
+        encoding = None
+        if kind != KIND_CONTINUOUS:
             ordered = sorted(counts) if encode_order == "alphabetical" else counts
             encoding = {v: i for i, v in enumerate(ordered)}
-            columns.append(
-                ColumnSchema(
-                    name=name,
-                    kind=kind,
-                    cardinality=len(encoding),
-                    encoding=encoding,
-                    imputation=imputation,
-                    missing_fraction=missing_fraction,
-                )
+        columns.append(
+            ColumnSchema(
+                name=name,
+                kind=kind,
+                cardinality=None if encoding is None else len(encoding),
+                encoding=encoding,
+                imputation=imputation,
+                missing_fraction=missing_fraction,
             )
+        )
 
     return FeatureSchema(
         columns=columns,
@@ -403,9 +387,12 @@ def encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
                 )
             mapped = map(lookup.get, values, repeat(col.cardinality))
         features[:, j] = np.fromiter(mapped, dtype=np.float64, count=n)
-
-    if not np.all(np.isfinite(features)):
-        raise EncodingError("non-finite values survived encoding")
+        if col.kind == KIND_CONTINUOUS:
+            finite = np.isfinite(features[:, j])
+            if not finite.all():
+                text = values[int(np.argmin(finite))]  # the first in row order
+                text = col.imputation if text is None else text
+                raise EncodingError(f"column {col.name!r}: non-finite value {text!r}")
 
     label_to_code = {name: i for i, name in enumerate(schema.labels)}
     targets = table.column(schema.target)

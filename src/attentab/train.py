@@ -9,11 +9,11 @@ penalty enters gradient updates but not the monitor).
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Adam, Tape, add, scale, softmax_logprob
+from .autodiff import Adam, Tape, Tensor, add, scale, softmax_logprob
 from .container import atomic_write_text
 from .data import EncodedDataset, Split
 from .errors import ConfigError, NumericsError, ShapeError, check_int, check_number
@@ -87,7 +87,7 @@ class EpochRecord:
     lr: float
 
 
-HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss", "train_acc", "val_acc", "train_f1", "val_f1", "lr")
+HISTORY_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 
 @dataclass
@@ -111,12 +111,7 @@ class TrainReport:
     def history_csv(self) -> str:
         lines = [",".join(HISTORY_COLUMNS)]
         for r in self.records:
-            lines.append(
-                ",".join(
-                    [str(r.epoch)]
-                    + [repr(v) for v in (r.train_loss, r.val_loss, r.train_acc, r.val_acc, r.train_f1, r.val_f1, r.lr)]
-                )
-            )
+            lines.append(",".join([str(r.epoch)] + [repr(getattr(r, k)) for k in HISTORY_COLUMNS[1:]]))
         return "\n".join(lines) + "\n"
 
     def save_history(self, path: str) -> None:
@@ -289,6 +284,36 @@ def evaluate(
     )
 
 
+# ------------------------------------------------------------------- step
+
+
+def training_loss(tape: Tape | None, model: TabNetClassifier, X, y, loss_spec: dict) -> Tensor:
+    """The objective training minimizes: the train-mode task loss plus
+    ``lambda_sparse`` times the mask-entropy penalty. Raises NumericsError
+    when the logits or the total are not finite."""
+    out = model.forward(tape, X, training=True)
+    total = batch_loss(tape, out.logits, y, loss_spec).scalar
+    lam = model.config.lambda_sparse
+    if lam != 0.0:
+        total = add(tape, total, scale(tape, out.sparsity, lam))
+    # the floored log-probability keeps the loss finite even for
+    # non-finite logits, so check the logits themselves too
+    if not (np.all(np.isfinite(out.logits.data)) and np.isfinite(total.item())):
+        raise NumericsError("training loss is not finite")
+    return total
+
+
+def train_step(model: TabNetClassifier, optimizer: Adam, X, y, loss_spec: dict) -> Tape:
+    """One optimizer step on :func:`training_loss` over one batch. Returns
+    the step's tape, whose records are what the step saw."""
+    tape = Tape()
+    total = training_loss(tape, model, X, y, loss_spec)
+    optimizer.zero_grad()
+    tape.backward(total)
+    optimizer.step()
+    return tape
+
+
 # -------------------------------------------------------------------- fit
 
 
@@ -323,37 +348,27 @@ def fit(
     scheduler = PlateauScheduler(
         optimizer, config.lr_factor, config.lr_patience, config.min_lr, config.min_delta
     )
-    lam = model.config.lambda_sparse
 
     report = TrainReport()
     best_state: dict[str, np.ndarray] | None = None
     X, y = dataset.features, dataset.labels
     for epoch in range(1, config.max_epochs + 1):
         epoch_lr = optimizer.lr
-        for rows in _batches(rng.permutation(train_idx), config.batch_size):
-            try:
-                tape = Tape()
-                out = model.forward(tape, X[rows], training=True)
-                lv = batch_loss(tape, out.logits, y[rows], loss_spec)
-                total = lv.scalar if lam == 0.0 else add(tape, lv.scalar, scale(tape, out.sparsity, lam))
-                # the floored log-probability keeps the loss finite even for
-                # non-finite logits, so check the logits themselves too
-                if not (np.all(np.isfinite(out.logits.data)) and np.isfinite(total.item())):
-                    raise NumericsError("training loss is not finite")
-                optimizer.zero_grad()
-                tape.backward(total)
-                optimizer.step()
-            except NumericsError as exc:
-                if exc.epoch is None:
-                    exc.epoch = epoch
-                raise
-
-        train_loss, train_acc, train_f1 = evaluate(
-            model, dataset, train_idx, loss_spec, config.f1_average
-        )
-        val_loss, val_acc, val_f1 = evaluate(model, dataset, val_idx, loss_spec, config.f1_average)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise NumericsError("evaluation loss is not finite", epoch=epoch)
+        try:
+            for rows in _batches(rng.permutation(train_idx), config.batch_size):
+                train_step(model, optimizer, X[rows], y[rows], loss_spec)
+            train_loss, train_acc, train_f1 = evaluate(
+                model, dataset, train_idx, loss_spec, config.f1_average
+            )
+            val_loss, val_acc, val_f1 = evaluate(
+                model, dataset, val_idx, loss_spec, config.f1_average
+            )
+            if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                raise NumericsError("evaluation loss is not finite")
+        except NumericsError as exc:
+            if exc.epoch is None:
+                exc.epoch = epoch
+            raise
         record = EpochRecord(epoch, train_loss, val_loss, train_acc, val_acc, train_f1, val_f1, epoch_lr)
         report.records.append(record)
         if log_fn is not None:

@@ -857,6 +857,10 @@ def reference_encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
                     raise EncodingError(
                         f"column {col.name!r}: cannot parse {v!r} as a number"
                     ) from None
+            for i, v in enumerate(values):
+                if not np.isfinite(out[i]):
+                    v = col.imputation if v is None else v
+                    raise EncodingError(f"column {col.name!r}: non-finite value {v!r}")
         else:
             enc = col.encoding or {}
             reserved = col.cardinality
@@ -868,9 +872,6 @@ def reference_encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
                             f"column {col.name!r}: missing value but no imputation fitted"
                         )
                 out[i] = enc.get(v, reserved)
-
-    if not np.all(np.isfinite(features)):
-        raise EncodingError("non-finite values survived encoding")
 
     label_to_code = {name: i for i, name in enumerate(schema.labels)}
     labels = np.empty(n, dtype=np.int64)

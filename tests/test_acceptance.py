@@ -41,6 +41,7 @@ from attentab.train import (
     evaluate,
     fit,
     resolve_loss_spec,
+    training_loss,
 )
 
 from conftest import continuous_schema, criterion, criterion_skip
@@ -117,9 +118,7 @@ def test_criterion_02_finite_difference_gradients():
     y = data_rng.integers(0, 3, size=3)
 
     def build_e2e(tape):
-        out = model.forward(tape, X, training=True)
-        lv = batch_loss(tape, out.logits, y, {"kind": "cce"})
-        return ad.add(tape, lv.scalar, ad.scale(tape, out.sparsity, cfg.lambda_sparse))
+        return training_loss(tape, model, X, y, {"kind": "cce"})
 
     worst_e2e = grad_check(build_e2e, model.parameters(), rng, samples=2)
     dt = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from attentab.errors import BatchTooSmallError, ConfigError, GraphError, ShapeEr
 
 from attentab.data import encode, fit_schema, stratified_split
 from attentab.tabnet import TabNetClassifier, TabNetConfig
-from attentab.train import TrainConfig, batch_loss, fit
+from attentab.train import TrainConfig, fit, train_step
 
 from conftest import continuous_schema
 from helpers import (
@@ -561,7 +561,7 @@ class TestAdam:
         # per-parameter Adam, follow the same real gradients; the shared
         # fc and batch-norm affines collect gradient from every step
         schema = continuous_schema(6, ["a", "b", "c"])
-        cfg = TabNetConfig(n_d=4, n_a=4, n_steps=2, virtual_batch=16, seed=3)
+        cfg = TabNetConfig(n_d=4, n_a=4, n_steps=2, virtual_batch=16, seed=3, lambda_sparse=1e-3)
         flat_model, ref_model = TabNetClassifier(cfg, schema), TabNetClassifier(cfg, schema)
         assert flat_model.transformers[1][0].fc is flat_model.shared_fcs[0]
         flat = ad.Adam(flat_model.parameters(), lr=0.05)
@@ -570,12 +570,7 @@ class TestAdam:
         for lr in (0.05, 0.05, 0.01, 0.2, 0.2, 0.003):
             flat.lr = ref.lr = lr
             for model, opt in ((flat_model, flat), (ref_model, ref)):
-                tape = ad.Tape()
-                out = model.forward(tape, X, training=True)
-                loss = batch_loss(tape, out.logits, y, {"kind": "cce"}).scalar
-                opt.zero_grad()
-                tape.backward(ad.add(tape, loss, ad.scale(tape, out.sparsity, 1e-3)))
-                opt.step()
+                train_step(model, opt, X, y, {"kind": "cce"})
             for (name, got), (_, want) in zip(flat_model.state_arrays(), ref_model.state_arrays()):
                 assert np.array_equal(got, want), name
 

@@ -423,6 +423,20 @@ class TestEncode:
         with pytest.raises(EncodingError, match="num"):
             encode(bad, schema)
 
+    @pytest.mark.parametrize("text", ["inf", "1e999", "NAN", "-Infinity"])
+    def test_non_finite_continuous_value_names_column_and_text(self, text):
+        schema, _ = self.schema_and_table()
+        rows = [["8", "a", "1.0", "no"], ["9", "b", text, "yes"], ["10", "a", "-inf", "no"]]
+        with pytest.raises(EncodingError, match=f"^column 'num': non-finite value '{text}'$"):
+            encode(table(["id", "cat", "num", "label"], rows), schema)
+
+    def test_non_finite_imputation_names_its_text(self):
+        schema, _ = self.schema_and_table()
+        col(schema, "num").imputation = "inf"
+        missing = table(["id", "cat", "num", "label"], [["8", "a", "1.0", "no"], ["9", "b", None, "no"]])
+        with pytest.raises(EncodingError, match="^column 'num': non-finite value 'inf'$"):
+            encode(missing, schema)
+
 
 @st.composite
 def fit_cases(draw):

@@ -32,7 +32,7 @@ from attentab.tabnet import (
     load_model,
     save_model,
 )
-from attentab.train import batch_loss
+from attentab.train import batch_loss, train_step, training_loss
 
 from helpers import (
     AdamReference,
@@ -490,8 +490,8 @@ def assert_priors_exhausted(masks):
 
 
 def one_train_step_ops(n_categorical, n_steps):
-    """The ops one train step records, as `fit` runs it, on a model with
-    ``n_categorical`` categorical columns and one continuous column."""
+    """The ops one `train_step` records on a model with ``n_categorical``
+    categorical columns and one continuous column."""
     rng = np.random.default_rng(n_categorical)
     rows = [
         [str(i)] + [f"k{rng.integers(3)}" for _ in range(n_categorical)]
@@ -502,11 +502,9 @@ def one_train_step_ops(n_categorical, n_steps):
     table = table_from_rows(columns, rows)
     ds = encode(table, fit_schema(table, "label"))
     assert sum(c.kind == KIND_CATEGORICAL for c in ds.schema.columns) == n_categorical
-    model = TabNetClassifier(TabNetConfig(n_d=2, n_a=2, n_steps=n_steps, embed_dims=2), ds.schema)
-    tape = ad.Tape()
-    out = model.forward(tape, ds.features, training=True)
-    loss = batch_loss(tape, out.logits, ds.labels, {"kind": "cce"}).scalar
-    tape.backward(ad.add(tape, loss, ad.scale(tape, out.sparsity, 1e-3)))
+    cfg = TabNetConfig(n_d=2, n_a=2, n_steps=n_steps, embed_dims=2, lambda_sparse=1e-3)
+    model = TabNetClassifier(cfg, ds.schema)
+    tape = train_step(model, ad.Adam(model.parameters()), ds.features, ds.labels, {"kind": "cce"})
     return [r.op for r in tape._records]
 
 
@@ -928,11 +926,7 @@ class TestEndToEndGradient:
         labels = data_rng.integers(0, 3, size=3)
 
         def build(tape):
-            out = model.forward(tape, X, training=True)
-            lv = batch_loss(tape, out.logits, labels, {"kind": "cce"})
-            return ad.add(
-                tape, lv.scalar, ad.scale(tape, out.sparsity, cfg.lambda_sparse)
-            )
+            return training_loss(tape, model, X, labels, {"kind": "cce"})
 
         worst = grad_check(build, model.parameters(), rng, samples=2, h=1e-5)
         assert worst < 1e-3

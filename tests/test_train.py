@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from attentab import train as tr
-from attentab.autodiff import Adam, Parameter, Tensor, softmax_logprob
+from attentab.autodiff import Adam, Parameter, Tape, Tensor, softmax_logprob
 from attentab.data import Split, stratified_split
 from attentab.errors import ConfigError, NumericsError, ShapeError
 from attentab.losses import focal_nll
@@ -370,6 +370,17 @@ class TestFit:
             tr.fit(model, ds, split, tr.TrainConfig(max_epochs=3, batch_size=16))
         assert exc.value.epoch == 1
 
+    def test_non_finite_eval_pass_raises_with_epoch(self):
+        # train mode normalizes by batch statistics, so a NaN running
+        # variance passes every step and first fails in the eval pass
+        ds = separable_dataset()
+        split = stratified_split(ds, 0.25, seed=0)
+        model = TabNetClassifier(TabNetConfig(n_d=2, n_a=2, n_steps=1), ds.schema)
+        dict(model.state_arrays())["att/0/bn.running_var"][0] = np.nan
+        with pytest.raises(NumericsError) as exc:
+            tr.fit(model, ds, split, tr.TrainConfig(max_epochs=3, batch_size=16))
+        assert exc.value.epoch == 1
+
     def test_metrics_stay_in_bounds(self):
         ds = separable_dataset()
         split = stratified_split(ds, 0.25, seed=0)
@@ -412,6 +423,45 @@ class TestFit:
         assert info["best_epoch"] == report.best_epoch
         assert info["stopped_epoch"] == report.stopped_epoch
         json.dumps(info)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.25])
+def test_training_loss_is_task_loss_plus_weighted_penalty(lam):
+    ds = separable_dataset()
+    model = TabNetClassifier(TabNetConfig(n_d=2, n_a=2, n_steps=2, lambda_sparse=lam), ds.schema)
+    X, y = ds.features[:16], ds.labels[:16]
+    tape = Tape()
+    total = tr.training_loss(tape, model, X, y, {"kind": "cce"})
+    out = model.forward(None, X, training=True)
+    task = tr.batch_loss(None, out.logits, y, {"kind": "cce"}).scalar.item()
+    assert total.item() == (task if lam == 0.0 else task + lam * out.sparsity.item())
+    assert [r.op for r in tape._records].count("scale") == (lam != 0.0)
+
+
+def test_fit_is_a_loop_of_train_steps():
+    # fit adds nothing to its steps but the epoch bookkeeping: the seeded
+    # permutation, _batches, Adam and train_step driven by hand reach fit's
+    # last validation (loss, accuracy, F1) bit for bit
+    ds = separable_dataset()
+    split = stratified_split(ds, 0.25, seed=0)
+    cfg = tr.TrainConfig(
+        max_epochs=4, batch_size=22, patience=50, lr_patience=50, loss_kind="focal", seed=5
+    )
+    model_cfg = TabNetConfig(n_d=2, n_a=2, n_steps=2, lambda_sparse=1e-2, seed=1)
+    last = tr.fit(TabNetClassifier(model_cfg, ds.schema), ds, split, cfg).records[-1]
+
+    model = TabNetClassifier(model_cfg, ds.schema)
+    train_idx = split.train_indices
+    assert train_idx.size % cfg.batch_size == 1  # the trailing-row merge runs
+    counts = np.bincount(ds.labels[train_idx], minlength=model.n_classes)
+    spec = tr.resolve_loss_spec(cfg, counts)
+    rng = np.random.default_rng(cfg.seed)
+    optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
+    for _ in range(cfg.max_epochs):
+        for rows in tr._batches(rng.permutation(train_idx), cfg.batch_size):
+            tr.train_step(model, optimizer, ds.features[rows], ds.labels[rows], spec)
+    got = tr.evaluate(model, ds, split.val_indices, spec, cfg.f1_average)
+    assert got == (last.val_loss, last.val_acc, last.val_f1)
 
 
 class TestHistory:
