@@ -43,55 +43,158 @@ KIND_DROP = "drop"
 logger = logging.getLogger(__name__)
 
 
+# Rows read and parsed per block. On the pump-shaped table, 128 to 1,024
+# rows load equally fast; from 2,048 up each block's row lists raise the peak.
+LOAD_BLOCK = 512
+
+
+@dataclass(eq=False)
+class NumericColumn:
+    """A column whose present texts all parse as finite floats, kept as
+    floats. Its texts stay exactly recoverable from ``joined``, since no
+    float text and no missing token contains a comma."""
+
+    values: np.ndarray  # [N] float64, 0.0 where missing
+    missing: np.ndarray  # [N] bool
+    joined: str  # the N texts, missing tokens included, joined by ","
+
+    def texts(self) -> tuple[str | None, ...]:
+        """The column's texts, ``None`` where missing: a present text is
+        never a missing token."""
+        texts = self.joined.split(",")
+        return tuple(map(_MISSING_AS_NONE.get, texts, texts))
+
+
+_MISSING_AS_NONE = dict.fromkeys(MISSING_TOKENS)
+_BLANK_AS_NAN = {"": "nan"}
+
+
 @dataclass
 class RawTable:
-    """Header plus one tuple of cells per column; missing cells are ``None``."""
+    """Header plus one entry of cells per column: a tuple of texts, missing
+    cells ``None``, or a :class:`NumericColumn`."""
 
     columns: list[str]
-    cells: list[tuple[str | None, ...]]
+    cells: list[tuple[str | None, ...] | NumericColumn]
     n_rows: int
 
-    def column(self, name: str) -> tuple[str | None, ...]:
+    def cells_of(self, name: str) -> tuple[str | None, ...] | NumericColumn:
         try:
             return self.cells[self.columns.index(name)]
         except ValueError:
             raise SchemaError(f"column {name!r} not present in table") from None
 
+    def column(self, name: str) -> tuple[str | None, ...]:
+        """The column's texts, ``None`` where missing, whatever its storage."""
+        cells = self.cells_of(name)
+        return cells.texts() if isinstance(cells, NumericColumn) else cells
+
+
+def _parse_block(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    """A block of one column as floats (0.0 where missing) and its missing
+    mask, or None unless every present text parses as a finite float."""
+    try:
+        values = np.fromiter(
+            map(float, map(_BLANK_AS_NAN.get, texts, texts)), dtype=np.float64, count=len(texts)
+        )
+    except ValueError:
+        return None
+    missing = ~np.isfinite(values)
+    if missing.any():
+        # NaN from a missing token is a missing cell; inf or any other NaN
+        # text ("NAN", "-nan") makes the column text
+        if not all(texts[i] in MISSING_TOKENS for i in np.flatnonzero(missing).tolist()):
+            return None
+        values[missing] = 0.0
+    return values, missing
+
 
 def load_csv(path: str) -> RawTable:
     """Read an RFC 4180 CSV with a header row into a column-major RawTable.
 
-    Empty cells and the literals "NaN"/"nan" become missing. Ragged rows
-    and repeated header names raise an ingestion error naming the offending
-    line or name. A leading UTF-8 byte-order mark (as spreadsheet exports
-    write) is not part of the first header name. Equal cell texts share one
-    ``str`` object. The rows are transposed once into one tuple per column.
+    Empty cells and the literals "NaN"/"nan" become missing. Ragged rows,
+    repeated header names, text that is not UTF-8 and malformed quoting
+    (a quoted field cut off by the end of the file, text after a closing
+    quote, a field over the csv module's size limit) raise an ingestion
+    error naming the file and the line or name. A leading UTF-8 byte-order
+    mark (as spreadsheet exports write) is not part of the first header
+    name. Rows are read and transposed ``LOAD_BLOCK`` at a time. A column
+    whose present texts all parse as finite floats is a
+    :class:`NumericColumn`; the first block with any other text turns it
+    into a tuple of texts, as every other column is, and there equal texts
+    share one ``str`` object.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: file is empty, expected a header row") from None
-        repeated = [name for name, n in Counter(header).items() if n > 1]
-        if repeated:
-            raise IngestionError(f"{path}: header repeats column name(s) {repeated}")
-        canonical = dict.fromkeys(MISSING_TOKENS).setdefault
-        rows: list[tuple[str | None, ...]] = []
-        for row in reader:
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: line {reader.line_num} has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
-            rows.append(tuple(map(canonical, row, row)))
-    del canonical  # frees the index of distinct texts before the transpose
-    cells = list(zip(*rows)) if rows else [()] * len(header)
-    return RawTable(columns=header, cells=cells, n_rows=len(rows))
+            return _read_rows(path, reader)
+        except UnicodeDecodeError as exc:
+            raise IngestionError(
+                f"{path}: text after line {reader.line_num} is not valid UTF-8: {exc}"
+            ) from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _read_rows(path: str, reader) -> RawTable:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: file is empty, expected a header row") from None
+    repeated = [name for name, n in Counter(header).items() if n > 1]
+    if repeated:
+        raise IngestionError(f"{path}: header repeats column name(s) {repeated}")
+    width = len(header)
+    canonical = dict.fromkeys(MISSING_TOKENS).setdefault
+    typed: list[list | None] = [[] for _ in header]  # (values, missing, joined) per block
+    texts: list[list | None] = [None] * width
+
+    def add_block(block: list[list[str]]) -> None:
+        for j, col in enumerate(zip(*block)):
+            if texts[j] is None:
+                parsed = _parse_block(col)
+                if parsed is not None:
+                    typed[j].append((*parsed, ",".join(col)))
+                    continue
+                texts[j] = []
+                for _, _, joined in typed[j]:
+                    earlier = joined.split(",")
+                    texts[j].extend(map(canonical, earlier, earlier))
+                typed[j] = None
+            texts[j].extend(map(canonical, col, col))
+
+    n_rows = 0
+    block: list[list[str]] = []
+    for row in reader:
+        if len(row) != width:
+            raise IngestionError(
+                f"{path}: line {reader.line_num} has {len(row)} fields, expected {width}"
+            )
+        block.append(row)
+        if len(block) == LOAD_BLOCK:
+            add_block(block)
+            n_rows += len(block)
+            block = []
+    if block:
+        add_block(block)
+        n_rows += len(block)
+    if not n_rows:
+        return RawTable(columns=header, cells=[()] * width, n_rows=0)
+    cells: list[tuple[str | None, ...] | NumericColumn] = []
+    for j in range(width):
+        if texts[j] is not None:
+            cells.append(tuple(texts[j]))
+            texts[j] = None
+        else:
+            values, missing, joined = zip(*typed[j])
+            column = NumericColumn(np.concatenate(values), np.concatenate(missing), ",".join(joined))
+            cells.append(column)
+            typed[j] = None
+    return RawTable(columns=header, cells=cells, n_rows=n_rows)
 
 
 def join_on_id(values: RawTable, labels: RawTable, key: str = "id") -> RawTable:
@@ -109,7 +212,7 @@ def join_on_id(values: RawTable, labels: RawTable, key: str = "id") -> RawTable:
     if shared:
         raise IngestionError(f"column(s) {shared} appear in both tables")
     row_of: dict[str, int] = {}
-    for i, k in enumerate(labels.cells[key_j]):
+    for i, k in enumerate(labels.column(key)):
         if k is None:
             raise IngestionError(f"labels table: data row {i + 1} has no {key!r} value")
         if k in row_of:
@@ -216,6 +319,27 @@ def _infer_kind(distinct: Counter, distinct_threshold: int) -> str:
     return KIND_CATEGORICAL
 
 
+def _modal_text(cells: NumericColumn) -> str:
+    """The most frequent present text, ties going to the first to appear.
+    A float at the top count whose rows all carry one text gives a modal
+    text, and the earliest such float wins. When no top float qualifies
+    ("-0.0" and "0", or "1.5" and "1.50", are two texts of one float), the
+    texts are counted instead."""
+    present = np.flatnonzero(~cells.missing)
+    _, first, inverse, counts = np.unique(
+        cells.values[present], return_index=True, return_inverse=True, return_counts=True
+    )
+    top = np.flatnonzero(counts == counts.max())
+    texts = cells.joined.split(",")
+    for k in top[np.argsort(first[top])].tolist():
+        rows = present[inverse == k].tolist()
+        if len({texts[i] for i in rows}) == 1:
+            return texts[rows[0]]
+    counts = Counter(map(_MISSING_AS_NONE.get, texts, texts))
+    counts.pop(None, None)
+    return max(counts, key=counts.__getitem__)
+
+
 def fit_schema(
     table: RawTable,
     target_column: str,
@@ -249,10 +373,23 @@ def fit_schema(
         raise SchemaError("cannot fit a schema on an empty table")
 
     columns: list[ColumnSchema] = []
-    for name, values in zip(table.columns, table.cells, strict=True):
-        counts = Counter(values)  # keys in order of first appearance
-        n_missing = counts.pop(None, 0)
-        missing_fraction = n_missing / len(values)
+    for name, cells in zip(table.columns, table.cells, strict=True):
+        typed = isinstance(cells, NumericColumn)
+        if (
+            typed
+            and name != target_column
+            and name not in id_columns
+            and _looks_float_formatted(cells.joined)
+        ):
+            # continuous whatever its distinct count: read from the floats
+            values, counts, kind = None, None, KIND_CONTINUOUS
+            n_missing = int(np.count_nonzero(cells.missing))
+        else:
+            values = cells.texts() if typed else cells
+            counts = Counter(values)  # keys in order of first appearance
+            n_missing = counts.pop(None, 0)
+            kind = None
+        missing_fraction = n_missing / table.n_rows
 
         if name == target_column:
             if n_missing:
@@ -271,9 +408,10 @@ def fit_schema(
             )
             continue
 
-        kind = _infer_kind(counts, continuous_distinct_threshold)
+        if kind is None:
+            kind = _infer_kind(counts, continuous_distinct_threshold)
         drop_reason = None
-        if not counts:
+        if n_missing == table.n_rows:
             logger.warning("column %r has no observed values; dropping it", name)
             drop_reason = "all values missing"
         elif missing_fraction > drop_threshold:
@@ -295,8 +433,13 @@ def fit_schema(
         imputation = None
         if n_missing:
             if impute_strategy == "median" and kind == KIND_CONTINUOUS:
-                med = float(np.median([float(v) for v in values if v is not None]))
-                imputation = repr(med)
+                if typed:
+                    present = cells.values[~cells.missing]
+                else:
+                    present = [float(v) for v in values if v is not None]
+                imputation = repr(float(np.median(present)))
+            elif counts is None:
+                imputation = _modal_text(cells)
             else:
                 imputation = max(counts, key=counts.__getitem__)  # ties: first appearance
         encoding = None
@@ -357,6 +500,22 @@ def _first_unparsable(name: str, texts) -> EncodingError:
     raise AssertionError("unreachable")
 
 
+def _imputed_float(col: ColumnSchema) -> float:
+    """A continuous column's imputation as the float its missing cells
+    take, with the errors the per-text path raises for it."""
+    if col.imputation is None:
+        raise EncodingError(f"column {col.name!r}: missing value but no imputation fitted")
+    try:
+        value = float(col.imputation)
+    except ValueError:
+        raise EncodingError(
+            f"column {col.name!r}: cannot parse {col.imputation!r} as a number"
+        ) from None
+    if not math.isfinite(value):
+        raise EncodingError(f"column {col.name!r}: non-finite value {col.imputation!r}")
+    return value
+
+
 def encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
     """Apply a fitted schema: impute, encode categoricals, map labels.
 
@@ -367,7 +526,13 @@ def encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
     n = table.n_rows
     features = np.empty((n, len(active)), dtype=np.float64)
     for j, col in enumerate(active):
-        values = table.column(col.name)
+        cells = table.cells_of(col.name)
+        if col.kind == KIND_CONTINUOUS and isinstance(cells, NumericColumn):
+            features[:, j] = cells.values
+            if cells.missing.any():
+                features[cells.missing, j] = _imputed_float(col)
+            continue
+        values = cells.texts() if isinstance(cells, NumericColumn) else cells
         if col.kind == KIND_CONTINUOUS:
             lookup = dict.fromkeys(values)  # distinct, in first-appearance order
             try:

@@ -8,7 +8,6 @@ penalty enters gradient updates but not the monitor).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -116,11 +115,6 @@ class TrainReport:
 
     def save_history(self, path: str) -> None:
         atomic_write_text(path, self.history_csv())
-
-
-def load_history(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 class EarlyStopping:

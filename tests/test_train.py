@@ -1,5 +1,6 @@
 """Early stopping, scheduler, metrics, evaluation, and the fit loop."""
 
+import csv
 import json
 
 import numpy as np
@@ -482,7 +483,8 @@ class TestHistory:
         report = self.report()
         path = str(tmp_path / "history.csv")
         report.save_history(path)
-        rows = tr.load_history(path)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == len(report.records)
         for row, rec in zip(rows, report.records):
             assert int(row["epoch"]) == rec.epoch
