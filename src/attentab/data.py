@@ -319,27 +319,6 @@ def _infer_kind(distinct: Counter, distinct_threshold: int) -> str:
     return KIND_CATEGORICAL
 
 
-def _modal_text(cells: NumericColumn) -> str:
-    """The most frequent present text, ties going to the first to appear.
-    A float at the top count whose rows all carry one text gives a modal
-    text, and the earliest such float wins. When no top float qualifies
-    ("-0.0" and "0", or "1.5" and "1.50", are two texts of one float), the
-    texts are counted instead."""
-    present = np.flatnonzero(~cells.missing)
-    _, first, inverse, counts = np.unique(
-        cells.values[present], return_index=True, return_inverse=True, return_counts=True
-    )
-    top = np.flatnonzero(counts == counts.max())
-    texts = cells.joined.split(",")
-    for k in top[np.argsort(first[top])].tolist():
-        rows = present[inverse == k].tolist()
-        if len({texts[i] for i in rows}) == 1:
-            return texts[rows[0]]
-    counts = Counter(map(_MISSING_AS_NONE.get, texts, texts))
-    counts.pop(None, None)
-    return max(counts, key=counts.__getitem__)
-
-
 def fit_schema(
     table: RawTable,
     target_column: str,
@@ -438,9 +417,10 @@ def fit_schema(
                 else:
                     present = [float(v) for v in values if v is not None]
                 imputation = repr(float(np.median(present)))
-            elif counts is None:
-                imputation = _modal_text(cells)
             else:
+                if counts is None:  # a typed column read from its floats
+                    counts = Counter(cells.texts())
+                    counts.pop(None, None)
                 imputation = max(counts, key=counts.__getitem__)  # ties: first appearance
         encoding = None
         if kind != KIND_CONTINUOUS:
@@ -500,19 +480,19 @@ def _first_unparsable(name: str, texts) -> EncodingError:
     raise AssertionError("unreachable")
 
 
+def _non_finite(name: str, text: str) -> EncodingError:
+    return EncodingError(f"column {name!r}: non-finite value {text!r}")
+
+
 def _imputed_float(col: ColumnSchema) -> float:
     """A continuous column's imputation as the float its missing cells
     take, with the errors the per-text path raises for it."""
-    if col.imputation is None:
-        raise EncodingError(f"column {col.name!r}: missing value but no imputation fitted")
     try:
         value = float(col.imputation)
-    except ValueError:
-        raise EncodingError(
-            f"column {col.name!r}: cannot parse {col.imputation!r} as a number"
-        ) from None
+    except (TypeError, ValueError):
+        raise _first_unparsable(col.name, [col.imputation]) from None
     if not math.isfinite(value):
-        raise EncodingError(f"column {col.name!r}: non-finite value {col.imputation!r}")
+        raise _non_finite(col.name, col.imputation)
     return value
 
 
@@ -557,7 +537,7 @@ def encode(table: RawTable, schema: FeatureSchema) -> EncodedDataset:
             if not finite.all():
                 text = values[int(np.argmin(finite))]  # the first in row order
                 text = col.imputation if text is None else text
-                raise EncodingError(f"column {col.name!r}: non-finite value {text!r}")
+                raise _non_finite(col.name, text)
 
     label_to_code = {name: i for i, name in enumerate(schema.labels)}
     targets = table.column(schema.target)
