@@ -560,15 +560,19 @@ class BatchNorm:
             )
         vb = self.virtual_batch or n_rows
         gamma, beta, m = self.gamma.data, self.beta.data, self.momentum
-        # Each chunk is written straight into its rows of ``out`` and
-        # ``xhat``; every value is the float sequence of the textbook
-        # formulas (chunk.mean, np.var, (x - mean) * inv * gamma + beta).
+        # Each chunk is written straight into its rows of ``out`` through
+        # one chunk-sized ``xhat`` buffer; every value is the float sequence
+        # of the textbook formulas (chunk.mean, np.var, (x - mean) * inv *
+        # gamma + beta). The tape keeps each chunk's mean and inv, not
+        # xhat: the backward rebuilds it from x by the same two operations,
+        # so a train step holds one batch-sized array per norm, not two.
         out = np.empty_like(xd)
-        xhat = np.empty_like(xd)
-        chunks = []  # (start, stop, inv_std)
+        rows = min(vb, n_rows)
+        xhat = np.empty((rows, xd.shape[1]))
+        chunks = []  # (start, stop, mean, inv_std)
         for start in range(0, n_rows, vb):
             stop = min(start + vb, n_rows)
-            chunk, o, xh = xd[start:stop], out[start:stop], xhat[start:stop]
+            chunk, o, xh = xd[start:stop], out[start:stop], xhat[: stop - start]
             mean = chunk.sum(axis=0) / len(chunk)
             np.subtract(chunk, mean, out=xh)
             # biased, as eval mode consumes it; squared in the output rows
@@ -577,7 +581,7 @@ class BatchNorm:
             xh *= inv
             np.multiply(xh, gamma, out=o)
             o += beta
-            chunks.append((start, stop, inv))
+            chunks.append((start, stop, mean, inv))
             self.running_mean *= 1.0 - m
             self.running_mean += m * mean
             self.running_var *= 1.0 - m
@@ -586,16 +590,17 @@ class BatchNorm:
         if tape is not None:
             def bwd(g):
                 # gx = (inv / n) * (n * dxhat - dxhat.sum(0) - xhat * (dxhat * xhat).sum(0))
-                # with dxhat = g * gamma, through two chunk-sized buffers
+                # with dxhat = g * gamma, through three chunk-sized buffers
                 gx = np.empty_like(g)
                 dgamma = np.zeros_like(gamma)
                 dbeta = np.zeros_like(beta)
-                rows = min(vb, n_rows)
-                buf_a, buf_b = np.empty((rows, g.shape[1])), np.empty((rows, g.shape[1]))
-                for start, stop, inv in chunks:
+                buf_x, buf_a, buf_b = (np.empty((rows, g.shape[1])) for _ in range(3))
+                for start, stop, mean, inv in chunks:
                     n = stop - start
-                    gc, xh, o = g[start:stop], xhat[start:stop], gx[start:stop]
-                    dxhat, tmp = buf_a[:n], buf_b[:n]
+                    gc, o = g[start:stop], gx[start:stop]
+                    xh, dxhat, tmp = buf_x[:n], buf_a[:n], buf_b[:n]
+                    np.subtract(xd[start:stop], mean, out=xh)
+                    xh *= inv
                     dbeta += gc.sum(axis=0)
                     dgamma += np.multiply(gc, xh, out=tmp).sum(axis=0)
                     np.multiply(gc, gamma, out=dxhat)

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -440,6 +441,21 @@ class TestBatchNorm:
             assert np.array_equal(bn.running_var, ref.running_var)
             for got, want in zip(grads, want_backward(g)):
                 assert np.array_equal(got, want)
+
+    def test_tape_holds_one_batch_sized_array(self, rng):
+        # the record keeps the output and each chunk's mean and inv; the
+        # backward rebuilds xhat, so no second batch-sized array stays alive
+        x = ad.Tensor(rng.normal(size=(1024, 114)))
+        bn = ad.BatchNorm(114, virtual_batch=128)
+        tape = ad.Tape()
+        tracemalloc.start()
+        try:
+            out = bn(tape, x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == x.data.nbytes
+        assert held < 1.25 * x.data.nbytes
 
     def test_running_update_follows_momentum_formula(self, rng):
         bn = ad.BatchNorm(2, momentum=0.3)
